@@ -7,8 +7,8 @@ Equivalent to ``catt bench`` but runnable without installing the package::
         --baseline benchmarks/BENCH_baseline.json
 
 Times engine throughput (warp-instructions/sec for the AST-walk
-interpreter vs the closure-compiled engine, with and without
-homogeneous-block dedup) and the full ``catt all`` sweep wall-clock,
+interpreter vs the launch-wide tape engine) and the full ``catt all``
+sweep wall-clock,
 writes ``benchmarks/BENCH_sim.json`` (next to the committed baseline), and
 — when ``--baseline`` is given — exits non-zero on a >2x regression
 against the committed baseline.

@@ -7,8 +7,8 @@ factor (Eq. 9), splits the loop into guarded warp groups (Fig. 4), and the
 simulator shows the L1D hit rate and execution time recovering.
 
 Everything goes through one :class:`repro.Session` — the typed facade over
-the whole pipeline.  Its :class:`repro.SimOptions` carries the engine/dedup
-knobs explicitly (no environment variables), and ``trace=True`` records a
+the whole pipeline.  Its :class:`repro.SimOptions` carries the engine
+knob explicitly (no environment variables), and ``trace=True`` records a
 span tree of every phase, printed at the end.
 
 Run:  python examples/quickstart.py
@@ -49,7 +49,7 @@ def run(sess, unit, label):
 
 def main():
     # The with-block closes the session on exit, flushing its result cache.
-    with Session("max", SimOptions(engine="compiled", dedup=True,
+    with Session("max", SimOptions(engine="tape",
                                    trace=True, metrics=True)) as sess:
         unit = sess.compile(SOURCE)
 

@@ -19,15 +19,15 @@ Quickstart::
 
     from repro import Session, SimOptions
 
-    sess = Session("max", SimOptions(engine="compiled", dedup=True))
+    sess = Session("max", SimOptions(engine="tape"))
     unit = sess.compile(CUDA_SOURCE)
     comp = sess.catt(unit, {"my_kernel": (grid, block)})
     result = sess.launch(comp.unit, "my_kernel", grid, block, args=[...])
     print(result.cycles, result.l1_hit_rate)
 
-``SimOptions`` is the single source of truth for the engine/dedup/cache
-knobs; the legacy ``REPRO_SIM_ENGINE`` / ``REPRO_SIM_DEDUP`` / ``REPRO_CACHE``
-environment variables still work through a deprecation shim.  Enable
+``SimOptions`` is the single source of truth for the engine/cache knobs;
+the legacy ``REPRO_SIM_ENGINE`` / ``REPRO_CACHE`` environment variables
+still work through a deprecation shim.  Enable
 ``SimOptions(trace=True, metrics=True)`` (or run ``catt profile <app>``) to
 collect a Perfetto-loadable trace and a signed run manifest — see
 docs/OBSERVABILITY.md.

@@ -5,14 +5,14 @@ One object that ties the whole pipeline together: a resolved
 environment variables are consulted — exactly once, at construction), a
 simulated :class:`~repro.runtime.device.Device`, and the observability layer
 (:mod:`repro.obs`).  Every Session method runs with the session's options
-active, so engine/dedup/cache selection is deterministic and explicit
+active, so engine/cache selection is deterministic and explicit
 instead of ambient process state.
 
 Quickstart::
 
     from repro import Session, SimOptions
 
-    with Session("max", SimOptions(engine="compiled", trace=True)) as sess:
+    with Session("max", SimOptions(engine="tape", trace=True)) as sess:
         unit = sess.compile(CUDA_SOURCE)
         comp = sess.catt(unit, {"my_kernel": (grid, block)})
         result = sess.launch(comp.unit, "my_kernel", grid, block, args=[...])

@@ -3,8 +3,8 @@
 Two measurements, both at a caller-chosen scale (CI uses ``--scale test``):
 
 * **Engine throughput** — warp-instructions/second of the AST-walk
-  interpreter vs the closure-compiled engine (with and without
-  homogeneous-block dedup) over a fixed probe set of registry workloads.
+  interpreter vs the launch-wide tape engine over a fixed probe set of
+  registry workloads.
 * **Sweep wall-clock** — the full ``catt all`` pipeline (cell sweep plus
   every figure/table builder) against a cold, memory-only cache, i.e. the
   honest end-to-end number with no disk cache to hide behind.
@@ -13,7 +13,7 @@ Results are written to ``benchmarks/BENCH_sim.json`` (next to the committed
 ``BENCH_baseline.json``) so the perf trajectory is recorded per commit;
 ``check_regression`` compares a fresh payload against a committed baseline
 (``benchmarks/BENCH_baseline.json``) and reports anything more than
-``factor`` times slower.
+``factor`` times slower, or any baseline engine row the payload lacks.
 """
 
 from __future__ import annotations
@@ -33,39 +33,22 @@ from .sweep import all_cells, run_sweep
 # process, cold cache.  The acceptance target for this PR is >= 3x off this.
 SEED_SWEEP_SECONDS = 129.8
 
-# Probe workloads for the throughput measurement: one dedup-eligible
-# CS app, one irregular app (falls back to per-warp execution), one CI app.
+# Probe workloads for the throughput measurement: one regular narrow
+# long-loop CS app, one irregular app, one CI app.
 PROBE_APPS = ("ATAX", "BFS", "BP")
 
-#: (label, engine, dedup) rows measured by bench_engines.  Order matters:
-#: the first row warms the parse cache, and every later row pays only its
-#: own engine-specific warm-up (closure compilation, tape lowering), which
-#: is the condition CI sees.
-ENGINE_CONFIGS = (
-    ("interp", "interp", False),
-    ("compiled", "compiled", False),
-    ("compiled+dedup", "compiled", True),
-    ("tape", "tape", False),
-)
+#: Engines measured by bench_engines, in order.  Order matters: the first
+#: row warms the parse cache, so the tape row pays only its own warm-up
+#: (tape lowering), which is the condition CI sees.
+ENGINE_CONFIGS = ("interp", "tape")
 
 #: CI gate: observability instrumentation, *disabled*, may cost at most
 #: this percentage of a probe workload's wall clock.
 MAX_OBS_OVERHEAD_PCT = 3.0
 
 
-def _with_engine(engine: str, dedup: bool, fn):
-    """Run ``fn`` under an explicit engine configuration.
-
-    Replaced the old ``os.environ`` save/mutate/restore dance: options are
-    scoped through :func:`repro.options.use_options`, so nothing leaks and
-    nothing depends on fork-time environment inheritance.
-    """
-    with use_options(SimOptions(engine=engine, dedup=dedup)):
-        return fn()
-
-
 def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> dict:
-    """Warp-instructions/sec per engine configuration over ``apps``.
+    """Warp-instructions/sec per engine over ``apps``.
 
     Each row also records per-app wall clock: the aggregate rate weights
     apps by their wall time, so a single slow probe app can dominate it —
@@ -74,10 +57,12 @@ def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> di
     long-loop kernels).
     """
     out: dict[str, dict] = {}
-    for label, engine, dedup in ENGINE_CONFIGS:
-        def probe() -> dict:
-            instructions = 0
-            per_app: dict[str, float] = {}
+    for engine in ENGINE_CONFIGS:
+        instructions = 0
+        per_app: dict[str, float] = {}
+        # Scoped options: nothing leaks, and nothing depends on fork-time
+        # environment inheritance.
+        with use_options(SimOptions(engine=engine)):
             t0 = time.perf_counter()
             for app in apps:
                 a0 = time.perf_counter()
@@ -85,27 +70,18 @@ def bench_engines(scale: str = "test", apps: tuple[str, ...] = PROBE_APPS) -> di
                 per_app[app] = round(time.perf_counter() - a0, 3)
                 instructions += sum(r.metrics.instructions for r in run.results)
             dt = time.perf_counter() - t0
-            return {
-                "seconds": round(dt, 3),
-                "per_app_seconds": per_app,
-                "warp_instructions": instructions,
-                "warp_instructions_per_sec": round(instructions / dt) if dt else 0,
-            }
-
-        out[label] = _with_engine(engine, dedup, probe)
+        out[engine] = {
+            "seconds": round(dt, 3),
+            "per_app_seconds": per_app,
+            "warp_instructions": instructions,
+            "warp_instructions_per_sec": round(instructions / dt) if dt else 0,
+        }
     interp_rate = out["interp"]["warp_instructions_per_sec"]
-    compiled_rate = out["compiled"]["warp_instructions_per_sec"]
-    for label, _engine, _dedup in ENGINE_CONFIGS:
-        if label == "interp":
-            continue
-        rate = out[label]["warp_instructions_per_sec"]
-        out[label]["speedup_vs_interp"] = (
+    for engine in ENGINE_CONFIGS[1:]:
+        rate = out[engine]["warp_instructions_per_sec"]
+        out[engine]["speedup_vs_interp"] = (
             round(rate / interp_rate, 2) if interp_rate else 0.0
         )
-        if label != "compiled":
-            out[label]["speedup_vs_compiled"] = (
-                round(rate / compiled_rate, 2) if compiled_rate else 0.0
-            )
     return out
 
 
@@ -239,17 +215,15 @@ def format_bench(payload: dict) -> str:
         f"Simulator benchmark — scale={payload['scale']} jobs={payload['jobs']}",
         "",
         f"{'engine':16s} {'seconds':>8s} {'warp-inst/s':>12s} "
-        f"{'vs interp':>10s} {'vs compiled':>12s}",
-        "-" * 62,
+        f"{'vs interp':>10s}",
+        "-" * 49,
     ]
     for label, row in payload["engine_throughput"].items():
         speedup = row.get("speedup_vs_interp")
-        vs_compiled = row.get("speedup_vs_compiled")
         lines.append(
             f"{label:16s} {row['seconds']:8.2f} "
             f"{row['warp_instructions_per_sec']:12,d} "
-            f"{f'{speedup:.2f}x' if speedup is not None else '-':>10s} "
-            f"{f'{vs_compiled:.2f}x' if vs_compiled is not None else '-':>12s}"
+            f"{f'{speedup:.2f}x' if speedup is not None else '-':>10s}"
         )
     sweep = payload["sweep"]
     lines += [
@@ -310,7 +284,8 @@ def check_regression(payload: dict, baseline_path: str | Path,
     """Compare ``payload`` against a committed baseline.
 
     Returns human-readable failure strings for every metric more than
-    ``factor`` times worse than the baseline (empty list = pass).  Only
+    ``factor`` times worse than the baseline, and for every baseline engine
+    row the payload does not measure (empty list = pass).  Only
     ratios are compared, so the gate tolerates absolute machine-speed
     differences between the commit host and CI runners up to ``factor``.
     The observability gate is absolute: disabled-instrumentation overhead
@@ -335,7 +310,12 @@ def check_regression(payload: dict, baseline_path: str | Path,
         b_rate = row.get("warp_instructions_per_sec")
         n_rate = (payload.get("engine_throughput", {})
                   .get(label, {}).get("warp_instructions_per_sec"))
-        if b_rate and n_rate and n_rate * factor < b_rate:
+        if b_rate and n_rate is None:
+            failures.append(
+                f"{label} throughput missing from the payload "
+                f"(baseline {b_rate:,d} warp-inst/s)"
+            )
+        elif b_rate and n_rate * factor < b_rate:
             failures.append(
                 f"{label} throughput regressed >{factor:g}x: "
                 f"{n_rate:,d} vs baseline {b_rate:,d} warp-inst/s"

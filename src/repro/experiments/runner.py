@@ -13,10 +13,9 @@ Examples::
     catt trace profile_atax/trace.json
 
 Configuration flows through one resolved :class:`repro.SimOptions` per
-invocation (``--engine``, ``--no-dedup``, ``--jobs``, ``--trace``,
-``--metrics``); the deprecated ``REPRO_SIM_*`` environment variables are
-folded in exactly once, at option resolution — nothing mutates
-``os.environ`` anymore.
+invocation (``--engine``, ``--jobs``, ``--trace``, ``--metrics``); the
+deprecated ``REPRO_SIM_*`` environment variables are folded in exactly
+once, at option resolution — nothing mutates ``os.environ`` anymore.
 """
 
 from __future__ import annotations
@@ -207,8 +206,6 @@ def _resolve_options(args) -> SimOptions:
     overrides: dict = {}
     if args.engine:
         overrides["engine"] = args.engine
-    if args.no_dedup:
-        overrides["dedup"] = False
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     if args.sms is not None:
@@ -261,10 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                              "sweep cell before it is quarantined as "
                              "degraded (default: 2)")
     parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulator engine (default: compiled)")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable homogeneous-block dedup in the "
-                             "simulator")
+                        help="functional engine (default: tape)")
     parser.add_argument("--sms", type=int, default=None, metavar="K",
                         help="co-simulate K SMs sharing one L2 (default 1, "
                              "the classic single-SM model)")

@@ -5,7 +5,7 @@ output, ``BENCH_sim.json``, ``--trace`` dumps) so a result can always be
 tied back to the exact configuration that produced it:
 
 * ``config`` — the resolved :class:`~repro.options.SimOptions` view (engine,
-  dedup, jobs, scale, spec, …) plus any command-specific inputs;
+  jobs, scale, spec, …) plus any command-specific inputs;
 * ``versions`` — repro / python / numpy;
 * ``phases`` — wall-clock seconds per top-level trace phase;
 * ``metrics`` — an optional registry snapshot;

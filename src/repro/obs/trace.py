@@ -1,7 +1,7 @@
 """Zero-dependency tracing: nested spans with near-zero disabled overhead.
 
 The repo-wide instrumentation (frontend parse, PTX lowering, every analysis
-equation stage, the transform pipeline, simulator launch/compile/dedup, the
+equation stage, the transform pipeline, simulator launch/lowering/timing, the
 sweep executor) calls :func:`span` at phase granularity — never per
 instruction — so an *enabled* tracer costs a couple of microseconds per
 phase and a *disabled* one costs one attribute check plus returning a shared

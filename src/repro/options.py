@@ -1,10 +1,9 @@
-"""Simulation options: the single source of truth for engine/dedup/cache/jobs.
+"""Simulation options: the single source of truth for engine/cache/jobs.
 
-Historically three environment variables steered the simulator and the
-experiment harness from three different call sites:
+Historically environment variables steered the simulator and the
+experiment harness from different call sites:
 
-* ``REPRO_SIM_ENGINE`` — ``"compiled"`` (default) | ``"interp"``;
-* ``REPRO_SIM_DEDUP`` — ``"1"`` (default) | ``"0"``;
+* ``REPRO_SIM_ENGINE`` — ``"tape"`` (default) | ``"interp"``;
 * ``REPRO_CACHE`` — result-cache location (``""`` = memory-only).
 
 They still work, but are **deprecated**: reading one emits a
@@ -22,14 +21,14 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-ENGINE_ENV = "REPRO_SIM_ENGINE"   # "compiled" (default) | "interp" | "tape"
-DEDUP_ENV = "REPRO_SIM_DEDUP"     # "1" (default) | "0"
+ENGINE_ENV = "REPRO_SIM_ENGINE"   # "tape" (default) | "interp"
 CACHE_ENV = "REPRO_CACHE"         # result-cache path ("" = memory-only)
 SANITIZE_ENV = "REPRO_SIM_SANITIZE"   # "" / "0" (default off) | anything else
 
-ENGINES = ("compiled", "interp", "tape")
+#: Functional engines: the launch-wide uop tape (the fast path) and the
+#: AST-walk interpreter it is checked against.
+ENGINES = ("interp", "tape")
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ class SimOptions:
     directory of a sharded result store.
     """
 
-    engine: str = "compiled"
-    dedup: bool = True
+    engine: str = "tape"
     cache_dir: str | None = None
     jobs: int = 1
     trace: bool = False
@@ -86,16 +84,11 @@ class SimOptions:
             value = raw.strip().lower()
             if value not in ENGINES:
                 # Fail loudly at resolution time instead of silently coercing
-                # to "compiled" and misattributing every downstream result.
+                # to the default and misattributing every downstream result.
                 raise ValueError(
                     f"{ENGINE_ENV}={raw!r} is not a valid engine; choose one "
                     f"of {ENGINES}")
             kw["engine"] = value
-        raw = os.environ.get(DEDUP_ENV)
-        if raw is not None:
-            if warn:
-                _deprecate(DEDUP_ENV, "SimOptions(dedup=...)")
-            kw["dedup"] = raw.strip() != "0"
         raw = os.environ.get(CACHE_ENV)
         if raw is not None:
             if warn:
@@ -120,7 +113,7 @@ class SimOptions:
 
     #: Fields that change *simulation results* (not how they are computed or
     #: where they are stored).  Only these participate in :meth:`signature`;
-    #: engine/dedup/jobs are deliberately excluded because CI asserts cache
+    #: engine/jobs are deliberately excluded because CI asserts cache
     #: byte-identity across engines and job counts.
     IDENTITY_FIELDS = ("sms", "l1_ata")
 
@@ -143,7 +136,6 @@ class SimOptions:
         """Deterministic dict view (manifest / trace attributes)."""
         return {
             "engine": self.engine,
-            "dedup": self.dedup,
             "cache_dir": self.cache_dir,
             "jobs": self.jobs,
             "trace": self.trace,
@@ -210,8 +202,8 @@ def current_options() -> SimOptions:
     if _ACTIVE is not None:
         return _ACTIVE
     global _env_memo
-    key = (os.environ.get(ENGINE_ENV), os.environ.get(DEDUP_ENV),
-           os.environ.get(CACHE_ENV), os.environ.get(SANITIZE_ENV))
+    key = (os.environ.get(ENGINE_ENV), os.environ.get(CACHE_ENV),
+           os.environ.get(SANITIZE_ENV))
     if _env_memo is None or _env_memo[0] != key:
         _env_memo = (key, SimOptions.from_env())
     return _env_memo[1]

@@ -176,9 +176,9 @@ _CMP_FNS = {"==": np.equal, "!=": np.not_equal, "<": np.less,
 def arith(op: str, left: TypedValue, right: TypedValue) -> TypedValue:
     """The shared ALU: C-semantics binary arithmetic over lane vectors.
 
-    Single source of truth for operator semantics across all engines — the
-    AST interpreter, the closure compiler and the tape executor all call
-    this, so a semantics fix lands in every engine at once.
+    Single source of truth for operator semantics across both engines — the
+    AST interpreter and the tape executor both call this, so a semantics
+    fix lands in both at once.
     """
     cmp_fn = _CMP_FNS.get(op)
     if cmp_fn is not None:
@@ -261,7 +261,7 @@ class Var:
     space: str = "none"
     dims: tuple[int, ...] = ()
     shared_offset: int = 0        # byte offset into the TB's shared block
-    # Cached read view for scalar loads (see compiled ident closure); valid
+    # Cached read view for scalar loads (see the tape's OP_LDVAR); valid
     # while ``values``/``space`` are unchanged — assignments write into
     # ``values`` in place, so the cache survives them.
     tv: "TypedValue | None" = None

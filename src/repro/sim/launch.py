@@ -1,7 +1,8 @@
 """Kernel launch orchestration for the simulated GPU.
 
 Resolves the launch configuration (occupancy, shared-memory carveout, TB
-assignment), builds per-TB warp interpreters, and runs them on the
+assignment), records the per-warp event streams on the tape engine (or
+builds per-TB warp interpreters), and runs them on the
 :class:`~repro.sim.sm.SMEngine`.  This is the piece the runtime's
 ``Device.launch`` calls.
 """
@@ -9,8 +10,6 @@ assignment), builds per-TB warp interpreters, and runs them on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..analysis.occupancy import (
     OccupancyResult,
@@ -23,13 +22,11 @@ from ..obs.metrics_registry import registry as _metrics_registry
 from ..obs.trace import span as _span
 # Engine selection resolves through SimOptions (repro.options): explicitly
 # activated options win (the Session / CLI path); otherwise the deprecated
-# REPRO_SIM_ENGINE / REPRO_SIM_DEDUP environment variables are shimmed
-# through with a DeprecationWarning.  ENGINE_ENV / DEDUP_ENV are re-exported
-# here for backward compatibility.
-from ..options import DEDUP_ENV, ENGINE_ENV, current_options  # noqa: F401
+# REPRO_SIM_ENGINE environment variable is shimmed through with a
+# DeprecationWarning.
+from ..options import current_options
 from .arch import GPUSpec, SMConfig
 from .cache import CacheStats
-from .compile import CompiledWarp, compile_kernel
 from .interp import (
     KernelArgs,
     SharedBlock,
@@ -39,18 +36,10 @@ from .interp import (
 )
 from .memory import GlobalMemory
 from .metrics import SMMetrics
-from .replay import record_block_streams
 from .sanitize import SanitizerResult, ShadowState, merge_shadows
+from .tape import lower_kernel, record_tape_streams
 
 Dim3 = tuple[int, int, int]
-
-
-def _engine_choice() -> str:
-    return current_options().engine
-
-
-def _dedup_enabled() -> bool:
-    return current_options().dedup
 
 
 def _as_dim3(value) -> Dim3:
@@ -70,9 +59,9 @@ class LaunchResult:
     grid: Dim3
     block: Dim3
     tbs_simulated: int
-    # Which execution engine produced the event streams: "interp",
-    # "compiled", "compiled+dedup" (widened homogeneous-block replay), or
-    # "tape" (launch-wide vectorized uop tape).
+    # Which functional engine produced the event streams: "tape" (the
+    # launch-wide vectorized uop tape) or "interp" (the AST walk, also the
+    # fallback for a kernel the tape cannot lower).
     engine: str = "interp"
     # Co-simulated SMs.  At sms == 1, ``metrics`` is SM 0's record and
     # ``per_sm`` is None; at sms > 1, ``metrics`` is the aggregate
@@ -168,7 +157,6 @@ def launch_kernel(
 
 
 def _feed_launch_metrics(m: SMMetrics, l1_write_stats, engine_used: str,
-                         dedup_slots: int,
                          per_sm: list[SMMetrics] | None = None,
                          sanitizer: SanitizerResult | None = None) -> None:
     """Publish one launch's aggregate counters into the metrics registry.
@@ -209,11 +197,6 @@ def _feed_launch_metrics(m: SMMetrics, l1_write_stats, engine_used: str,
         c("sim.governor.pauses").inc(m.governor_pauses)
         c("sim.governor.resumes").inc(m.governor_resumes)
         c("sim.governor.warps_bypassed").inc(m.warps_bypassed)
-    if dedup_slots:
-        # Slots whose execution was collapsed into the widened pass: the
-        # replay savings the dedup engine buys.
-        c("sim.dedup.launches").inc()
-        c("sim.dedup.slots_replayed").inc(dedup_slots)
     if sanitizer is not None:
         c("sanitize.launches").inc()
         c("sanitize.reports").inc(sanitizer.report_count)
@@ -290,25 +273,18 @@ def _launch_kernel(
     kargs = KernelArgs(tuple(args))
 
     # Shadow-memory race sanitizer: one ShadowState per TB, shared by the
-    # TB's warps.  Disables dedup below (every slot must execute for real).
+    # TB's warps.
     sanitize = current_options().sanitize
     shadows: list[ShadowState] = []
     global_bases = [(value, name) for name, value, ctype in args
                     if ctype.is_pointer]
 
-    # Engine selection: closure-compile once per launch, falling back to the
-    # AST walk when the kernel uses a construct the compiler does not cover.
-    # The tape engine lowers to a flat uop tape and executes every (TB, warp)
-    # slot of the launch in one vectorized pass; it falls back to "compiled"
-    # (and from there to "interp") on unsupported constructs.
-    engine_used = "interp"
-    compiled = None
-    tape_streams = None
-    choice = _engine_choice()
-    if choice == "tape":
-        from .tape import lower_kernel, record_tape_streams
-
-        program = None
+    # Engine selection: the tape engine lowers the kernel to a flat uop tape
+    # and executes every (TB, warp) slot of the launch in one vectorized
+    # pass, recording the timed slots' event streams.  A kernel it cannot
+    # lower falls back to the AST-walk interpreter, one warp at a time.
+    recorded = None
+    if current_options().engine == "tape":
         try:
             program = lower_kernel(unit, kernel_name)
         except (SimulationError, NotImplementedError):
@@ -316,49 +292,14 @@ def _launch_kernel(
         if program is not None:
             with _span("sim.tape.record", kernel=kernel_name, tbs=total_tbs,
                        warps_per_tb=warps_per_tb):
-                tape_streams, tape_shadows = record_tape_streams(
+                recorded, tape_shadows = record_tape_streams(
                     program, memory, layout, max(occ.shared_usage_tb, 1),
                     kargs, grid3, block3, warps_per_tb, set(tb_ids),
                     sanitize=sanitize, kernel_name=kernel_name,
                     global_bases=global_bases)
-            if sanitize:
-                shadows.extend(tape_shadows)
-            engine_used = "tape"
-        else:
-            choice = "compiled"
-    if choice == "compiled":
-        with _span("sim.compile", kernel=kernel_name):
-            try:
-                compiled = compile_kernel(unit, kernel_name)
-                engine_used = "compiled"
-            except (SimulationError, NotImplementedError):
-                compiled = None
+            shadows.extend(tape_shadows)
+    engine_used = "interp" if recorded is None else "tape"
 
-    # Homogeneous-block dedup: when the launch provably has no cross-thread
-    # memory dependences, execute every (TB, warp) slot in widened lockstep
-    # once and replay the recorded per-warp event streams into the timing
-    # engine.  Any launch with more than one slot benefits — many TBs, or a
-    # single TB with many warps.
-    dedup_streams = None
-    if compiled is not None and tape_streams is None and _dedup_enabled() \
-            and not sanitize and total_tbs * warps_per_tb > 1:
-        from ..analysis.dataflow import block_homogeneity
-
-        with _span("sim.dedup.analyze", kernel=kernel_name) as _sp:
-            eligible = block_homogeneity(kernel, block3, grid3,
-                                         kargs.bindings, memory).eligible
-            _sp.set(eligible=eligible)
-        if eligible:
-            with _span("sim.dedup.record", kernel=kernel_name,
-                       tbs=total_tbs, warps_per_tb=warps_per_tb):
-                dedup_streams = record_block_streams(
-                    unit, kernel, memory, layout,
-                    max(occ.shared_usage_tb, 1), kargs, grid3, block3,
-                    warps_per_tb,
-                )
-            engine_used = "compiled+dedup"
-
-    recorded = dedup_streams if dedup_streams is not None else tape_streams
     if recorded is not None:
         def warp_factory(tb_id: int):
             return [iter(recorded[tb_id][w])
@@ -376,20 +317,12 @@ def _launch_kernel(
                 shadows.append(shadow)
             gens = []
             for w in range(warps_per_tb):
-                if compiled is not None:
-                    warp = CompiledWarp(
-                        unit, kernel, memory, shared, layout, kargs,
-                        (bx, by, bz), block3, grid3, w,
-                    )
-                    warp.sanitizer = shadow
-                    gens.append(warp.run_compiled(compiled))
-                else:
-                    interp = WarpInterpreter(
-                        unit, kernel, memory, shared, layout, kargs,
-                        (bx, by, bz), block3, grid3, w,
-                    )
-                    interp.sanitizer = shadow
-                    gens.append(interp.run())
+                interp = WarpInterpreter(
+                    unit, kernel, memory, shared, layout, kargs,
+                    (bx, by, bz), block3, grid3, w,
+                )
+                interp.sanitizer = shadow
+                gens.append(interp.run())
             return gens
 
     # ATA-Cache mode: one aggregated tag array spanning the timed SMs' L1s.
@@ -430,9 +363,9 @@ def _launch_kernel(
 
     # Functionally execute the TBs not assigned to the simulated SM (or cut
     # by max_tbs) so device memory holds the full kernel result.  They do not
-    # contribute to timing — other SMs run them "in parallel".  The widened
-    # dedup and tape passes already performed every TB's memory effects
-    # exactly once, so they must not (and do not) re-execute anything here.
+    # contribute to timing — other SMs run them "in parallel".  The tape pass
+    # already performed every TB's memory effects exactly once, so it must
+    # not (and does not) re-execute anything here.
     if recorded is None:
         timed = set(tb_ids)
         if len(timed) < total_tbs:
@@ -448,7 +381,6 @@ def _launch_kernel(
     sanitizer_result = merge_shadows(shadows) if sanitize else None
 
     _feed_launch_metrics(result_metrics, l1_write_stats, engine_used,
-                         total_tbs * warps_per_tb if dedup_streams else 0,
                          per_sm=per_sm, sanitizer=sanitizer_result)
 
     return LaunchResult(

@@ -18,8 +18,9 @@ is scheduler-defined and not a property the static pass claims.
 The sanitizer is a functional-correctness oracle, not a timing model: it
 never contributes events and is only consulted when a shadow is attached
 (``warp.sanitizer`` stays ``None`` otherwise, a single attribute test per
-memory operation).  Homogeneous-block dedup is disabled under sanitize so
-every (TB, warp) slot executes for real.
+memory operation).  Both functional engines attach it — the interpreter
+per TB, the tape per chunk of TBs — and both execute every (TB, warp) slot
+for real, so the sanitizer sees every access.
 """
 
 from __future__ import annotations

@@ -1,30 +1,26 @@
 """Launch-wide vectorized uop-tape engine (``SimOptions.engine="tape"``).
 
-The third execution engine.  A kernel is lowered **once** into a flat
+The default functional engine.  A kernel is lowered **once** into a flat
 SSA-style uop tape (:func:`lower_kernel`); the tape is then executed over
 *every* (TB, warp) slot of a launch at once (:class:`TapeExecutor`): one
 NumPy step per uop across a ``(TB × warp × lane)`` batch axis laid out
-slot-major, exactly like the dedup engine's :class:`~repro.sim.replay.
-WideWarp` — lane ``s * 32 + l`` is lane ``l`` of slot ``s``, and slot
+slot-major — lane ``s * 32 + l`` is lane ``l`` of slot ``s``, and slot
 ``tb * warps_per_tb + w`` is warp ``w`` of chunk-local block ``tb``.
 
-Where dedup (:mod:`repro.sim.replay`) needs a homogeneity *proof* before it
-may collapse the batch axis, the tape executes arbitrary divergent control
-flow: structured control uops re-enter the tape on sub-ranges under
-partition masks (if/else), and loop uops iterate their condition/body/step
-ranges while any slot still has active lanes, so per-slot trip counts fall
-out of the masks.  Dedup is thus the degenerate case where every mask stays
-full and the loop trip counts agree — the tape needs no proof because it
-keeps the masks.
+The tape executes arbitrary divergent control flow: structured control
+uops re-enter the tape on sub-ranges under partition masks (if/else), and
+loop uops iterate their condition/body/step ranges while any slot still
+has active lanes, so per-slot trip counts fall out of the masks.  No proof
+that the slots behave alike is needed, because the tape keeps the masks.
 
 Event-stream parity
 -------------------
-The lowering mirrors :mod:`repro.sim.compile` closure by closure: every
-``tally`` site, flush point and mask rule has a corresponding uop or
-handler branch, so per-warp event streams (compute batches, MemEvents in
-order, SYNC markers) are bit-identical to narrow execution — the registry
-differential suite (``tests/sim/test_engine_differential.py``) enforces
-this.  Soundness of lockstep execution: warps of a TB run uop-by-uop in
+The lowering mirrors the AST-walk interpreter (:mod:`repro.sim.interp`)
+statement by statement: every ``ops`` tally site, flush point and mask
+rule has a corresponding uop or handler branch, so per-warp event streams
+(compute batches, MemEvents in order, SYNC markers) are bit-identical to
+narrow execution — the registry differential suite
+(``tests/sim/test_engine_differential.py``) enforces this.  Soundness of lockstep execution: warps of a TB run uop-by-uop in
 lockstep, which satisfies every ``__syncthreads()`` ordering constraint;
 for kernels that are race-free per barrier interval (the sanitizer's exact
 property), any schedule — including lockstep — produces the same functional
@@ -106,11 +102,10 @@ from .interp import (
     promote,
 )
 from .memory import GlobalMemory
-from .replay import WideShared
 from .sanitize import ShadowState
 
-# Lane-vector cap per widened pass; larger launches run in whole-TB chunks.
-# Bigger than replay's MAX_WIDE_SLOTS because tape vectors amortize better.
+# Lane-vector cap per widened pass (2048 slots x 32 lanes); larger launches
+# run in whole-TB chunks so per-variable vectors stay bounded.
 MAX_TAPE_SLOTS = 2048
 
 _LONG = CType("long")
@@ -196,7 +191,7 @@ class TapeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Lowering cache (same identity-keyed LRU discipline as compile.py)
+# Lowering cache (identity-keyed LRU: a unit is lowered once per process)
 # ---------------------------------------------------------------------------
 
 _CACHE_LIMIT = 64
@@ -232,7 +227,7 @@ def clear_tape_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lowering: AST -> uop tape, mirroring compile.py closure by closure
+# Lowering: AST -> uop tape, mirroring interp.py statement by statement
 # ---------------------------------------------------------------------------
 
 
@@ -329,8 +324,9 @@ class _Lowerer:
             raise SimulationError(f"cannot execute {type(s).__name__}")
 
     def _block(self, b: Block) -> None:
-        # One CHK at entry; dirty blocks re-CHK after each disruptive
-        # statement (compile.py's run vs. run_clean distinction).
+        # One CHK at entry; re-CHK after each disruptive statement, the
+        # only kind that can change the active mask interp.py re-derives
+        # before every statement of a block.
         chks = [self._emit([OP_CHK, 0])]
         stmts = b.statements
         for i, s in enumerate(stmts):
@@ -363,7 +359,7 @@ class _Lowerer:
 
     def _if_stmt(self, s: IfStmt) -> None:
         c = self.expr(s.cond)
-        self._end_stmt()  # compile flushes after evaluating the condition
+        self._end_stmt()  # interp flushes after evaluating the condition
         pos = self._emit([OP_IF, c, 0, 0, -1, -1, 0])
         t_lo = len(self.uops)
         self.stmt(s.then)
@@ -378,7 +374,7 @@ class _Lowerer:
 
     def _cond_range(self, cond: Expr) -> tuple[int, int, int]:
         """Lower a loop condition: expr + its tally + the +1 loop-test tally
-        + flush, exactly one compiled-loop iteration header."""
+        + flush, exactly one interpreted loop-iteration header."""
         lo = len(self.uops)
         c = self.expr(cond)
         self.pending_tally += 1
@@ -387,7 +383,7 @@ class _Lowerer:
 
     def _for_stmt(self, s: ForStmt) -> None:
         if s.init is not None:
-            # compile runs init under the loop's incoming mask; inline
+            # interp runs init under the loop's incoming mask; inline
             # lowering puts it just before the FOR uop, same thing.
             self.stmt(s.init)
         clean = s.cond is not None and not _disrupts(s.body)
@@ -507,7 +503,7 @@ class _Lowerer:
     def _assign_target(self, target: Expr):
         """Return a callable lowering the store of a value reg — deferred so
         store-side address uops land *after* the value uops, matching
-        compile's evaluation order."""
+        interp's evaluation order."""
         if isinstance(target, Ident):
             slot = self._slot(target.name)
             name = target.name
@@ -718,10 +714,34 @@ class _MaskInfo:
         self.runs = None
 
 
+class WideShared:
+    """Per-chunk shared memory: one scratchpad row per thread block."""
+
+    def __init__(self, ntbs: int, capacity_bytes: int):
+        self.capacity = capacity_bytes
+        self.buffer = np.zeros((ntbs, max(capacity_bytes, 1)), dtype=np.uint8)
+
+    def load(self, offsets: np.ndarray, tbs: np.ndarray,
+             dtype: np.dtype) -> np.ndarray:
+        itemsize = dtype.itemsize
+        out = np.empty(offsets.shape, dtype=dtype)
+        raw = out.view(np.uint8).reshape(offsets.size, itemsize)
+        for b in range(itemsize):
+            raw[:, b] = self.buffer[tbs, offsets + b]
+        return out
+
+    def store(self, offsets: np.ndarray, tbs: np.ndarray,
+              values: np.ndarray) -> None:
+        itemsize = values.dtype.itemsize
+        raw = np.ascontiguousarray(values).view(np.uint8).reshape(
+            offsets.size, itemsize)
+        for b in range(itemsize):
+            self.buffer[tbs, offsets + b] = raw[:, b]
+
+
 class TapeExecutor:
     """Executes a :class:`TapeProgram` over one chunk of (TB, warp) slots.
 
-    Slot-major lane layout identical to :class:`~repro.sim.replay.WideWarp`.
     Compute/SFU tallies and memory events are recorded only for the *timed*
     slots into ``self.tstreams[timed_pos]``; all slots execute functionally.
     """

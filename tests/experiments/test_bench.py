@@ -20,25 +20,16 @@ from repro.experiments.bench import (
 )
 
 
-def payload(sweep_s=40.0, interp=70_000, compiled=100_000, dedup=125_000,
-            tape=300_000):
+def payload(sweep_s=40.0, interp=70_000, tape=300_000):
     return {
         "scale": "test",
         "jobs": 2,
         "engine_throughput": {
             "interp": {"seconds": 1.0, "warp_instructions": interp,
                        "warp_instructions_per_sec": interp},
-            "compiled": {"seconds": 1.0, "warp_instructions": compiled,
-                         "warp_instructions_per_sec": compiled,
-                         "speedup_vs_interp": round(compiled / interp, 2)},
-            "compiled+dedup": {"seconds": 1.0, "warp_instructions": dedup,
-                               "warp_instructions_per_sec": dedup,
-                               "speedup_vs_interp": round(dedup / interp, 2),
-                               "speedup_vs_compiled": round(dedup / compiled, 2)},
             "tape": {"seconds": 1.0, "warp_instructions": tape,
                      "warp_instructions_per_sec": tape,
-                     "speedup_vs_interp": round(tape / interp, 2),
-                     "speedup_vs_compiled": round(tape / compiled, 2)},
+                     "speedup_vs_interp": round(tape / interp, 2)},
         },
         "sweep": {"seconds": sweep_s, "cells": 99, "computed": 99,
                   "degraded": 0, "jobs": 2,
@@ -54,9 +45,8 @@ def baseline_file(tmp_path):
     return path
 
 
-def test_engine_configs_cover_all_four_paths():
-    labels = [label for label, _, _ in ENGINE_CONFIGS]
-    assert labels == ["interp", "compiled", "compiled+dedup", "tape"]
+def test_engine_configs_cover_both_engines():
+    assert ENGINE_CONFIGS == ("interp", "tape")
 
 
 def test_check_regression_passes_identical(baseline_file):
@@ -66,7 +56,7 @@ def test_check_regression_passes_identical(baseline_file):
 def test_check_regression_tolerates_up_to_factor(baseline_file):
     # 1.9x slower sweep and 1.9x lower throughput: within the 2x gate.
     ok = payload(sweep_s=40.0 * 1.9, interp=int(70_000 / 1.9),
-                 compiled=int(100_000 / 1.9), dedup=int(125_000 / 1.9))
+                 tape=int(300_000 / 1.9))
     assert check_regression(ok, baseline_file) == []
 
 
@@ -78,9 +68,19 @@ def test_check_regression_flags_slow_sweep(baseline_file):
 
 
 def test_check_regression_flags_throughput_drop(baseline_file):
-    bad = payload(compiled=100_000 // 3)
+    bad = payload(tape=300_000 // 3)
     failures = check_regression(bad, baseline_file)
-    assert any("compiled throughput" in f for f in failures)
+    assert any("tape throughput" in f for f in failures)
+
+
+def test_check_regression_flags_missing_engine_row(baseline_file):
+    """A baseline engine row the payload no longer measures must fail the
+    gate instead of passing it unchecked."""
+    bad = payload()
+    del bad["engine_throughput"]["tape"]
+    failures = check_regression(bad, baseline_file)
+    assert len(failures) == 1
+    assert "tape" in failures[0] and "missing" in failures[0]
 
 
 def test_check_regression_custom_factor(baseline_file):
@@ -91,8 +91,9 @@ def test_check_regression_custom_factor(baseline_file):
 
 def test_format_bench_readable():
     text = format_bench(payload())
-    assert "interp" in text and "compiled+dedup" in text and "tape" in text
-    assert "vs compiled" in text
+    assert "interp" in text and "tape" in text
+    assert "vs interp" in text and "4.29x" in text
+    assert "compiled" not in text
     assert "3.24x" in text or "vs seed" in text
     assert "99 cells" in text
 

@@ -87,13 +87,13 @@ def test_degraded_cell_stays_transient(monkeypatch, tmp_path):
     assert not (tmp_path / "results.json").exists()
 
 
-def test_runner_no_dedup_flag_activates_options(monkeypatch, capsys):
-    """--no-dedup resolves into the active SimOptions instead of mutating
+def test_runner_engine_flag_activates_options(monkeypatch, capsys):
+    """--engine resolves into the active SimOptions instead of mutating
     os.environ (the old plumbing)."""
     from repro import options as options_mod
     from repro.experiments import runner as runner_mod
 
-    monkeypatch.delenv("REPRO_SIM_DEDUP", raising=False)
+    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     seen = {}
 
     def spy_table2():
@@ -101,9 +101,9 @@ def test_runner_no_dedup_flag_activates_options(monkeypatch, capsys):
         return "table2"
 
     monkeypatch.setattr(runner_mod, "_print_table2", spy_table2)
-    assert main(["table2", "--no-dedup"]) == 0
-    assert seen["options"].dedup is False
-    assert os.environ.get("REPRO_SIM_DEDUP") is None   # env untouched
+    assert main(["table2", "--engine", "interp"]) == 0
+    assert seen["options"].engine == "interp"
+    assert os.environ.get("REPRO_SIM_ENGINE") is None  # env untouched
     assert options_mod.active_options() is None        # scope restored
     capsys.readouterr()
 

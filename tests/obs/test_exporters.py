@@ -21,10 +21,10 @@ def forest():
     root.end = 10.5
     launch = Span("sim.launch", {"kernel": "k1"}, start=10.1)
     launch.end = 10.4
-    compile_ = Span("sim.compile", {}, start=10.1)
-    compile_.end = 10.15
-    compile_.error = "RuntimeError: nope"
-    launch.children.append(compile_)
+    lower = Span("sim.tape.lower", {}, start=10.1)
+    lower.end = 10.15
+    lower.error = "RuntimeError: nope"
+    launch.children.append(lower)
     root.children.append(launch)
     other = Span("frontend.parse", {"tokens": 3}, start=10.6)
     other.end = 10.7
@@ -76,7 +76,7 @@ def test_chrome_trace_is_valid_trace_event_json():
     by_name = {e["name"]: e for e in complete}
     assert by_name["sim.launch"]["cat"] == "sim"
     assert by_name["experiment.cell"]["args"]["app"] == "ATAX"
-    assert by_name["sim.compile"]["args"]["error"] == "RuntimeError: nope"
+    assert by_name["sim.tape.lower"]["args"]["error"] == "RuntimeError: nope"
 
 
 def test_chrome_trace_round_trip_recovers_nesting():
@@ -85,9 +85,9 @@ def test_chrome_trace_round_trip_recovers_nesting():
     (root, other) = restored
     (launch,) = root.children
     assert launch.name == "sim.launch"
-    (compile_,) = launch.children
-    assert compile_.name == "sim.compile"
-    assert compile_.error == "RuntimeError: nope"
+    (lower,) = launch.children
+    assert lower.name == "sim.tape.lower"
+    assert lower.error == "RuntimeError: nope"
     assert abs(root.seconds - 0.5) < 1e-6
     assert other.children == []
 

@@ -100,7 +100,7 @@ def test_sweep_manifest_deterministic_across_jobs():
             from repro.obs.metrics_registry import registry
             m = build_manifest(
                 "sweep --scale test",
-                {"cells": cells, "engine": opts.engine, "dedup": opts.dedup},
+                {"cells": cells, "engine": opts.engine},
                 spans=tracer().roots,
                 metrics=registry().snapshot(),
             )

@@ -195,26 +195,32 @@ def test_odd_sms_on_full_part_times_subset_but_runs_all():
     np.testing.assert_array_equal(out.to_host(), ref)
 
 
-@pytest.mark.parametrize("dedup", [False, True])
-def test_multi_sm_functional_correctness_with_engines(dedup):
-    with use_options(SimOptions(engine="compiled", dedup=dedup, sms=2)):
+@pytest.mark.parametrize("tape", [False, True])
+def test_multi_sm_functional_correctness_with_engines(tape):
+    """Both functional engines (``tape`` when True, the ``interp`` oracle
+    when False) produce correct buffers at sms > 1."""
+    engine = "tape" if tape else "interp"
+    with use_options(SimOptions(engine=engine, sms=2)):
         res = _launch_reuse(sms=None)
     assert res.sms == 2
+    assert res.engine == engine
 
 
 def test_dedup_replay_matches_direct_execution_at_multi_sm():
-    """Widened-replay streams feed the same timing engine: dedup on/off must
-    agree bit-for-bit on every metric, per SM, at sms > 1."""
+    """The tape engine replays one lowered kernel across every block of the
+    launch at once (it replaced per-block dedup replay); its streams feed
+    the same timing engine as directly interpreted warps, so tape and
+    interp must agree bit-for-bit on every metric, per SM, at sms > 1."""
     results = {}
-    for dedup in (False, True):
-        with use_options(SimOptions(engine="compiled", dedup=dedup, sms=2)):
-            results[dedup] = _launch_reuse(sms=None)
-    on, off = results[True], results[False]
-    assert on.engine == "compiled+dedup"
-    assert off.engine == "compiled"
-    assert on.metrics.summary() == off.metrics.summary()
-    assert [m.summary() for m in on.per_sm] == \
-        [m.summary() for m in off.per_sm]
+    for engine in ("interp", "tape"):
+        with use_options(SimOptions(engine=engine, sms=2)):
+            results[engine] = _launch_reuse(sms=None)
+    tape, interp = results["tape"], results["interp"]
+    assert tape.engine == "tape" and interp.engine == "interp"
+    assert tape.sms == interp.sms == 2
+    assert tape.metrics.summary() == interp.metrics.summary()
+    assert [m.summary() for m in tape.per_sm] == \
+        [m.summary() for m in interp.per_sm]
 
 
 def test_governor_cloned_per_sm_at_multi_sm():

@@ -8,7 +8,7 @@ from repro.options import SimOptions, current_options, use_options
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V_SIM
 
-ENGINES = ("interp", "compiled")
+ENGINES = ("interp", "tape")
 
 RACY = """
 __global__ void k(float *a) {
@@ -133,4 +133,4 @@ def test_engines_agree_on_verdicts():
         counts = {e: _launch(src, engine=e).sanitizer.report_count
                   for e in ENGINES}
         assert (counts["interp"] > 0) == racy
-        assert (counts["compiled"] > 0) == racy
+        assert (counts["tape"] > 0) == racy

@@ -25,7 +25,7 @@ N = 128
 
 
 def _run(src: str, x: np.ndarray, engine: str):
-    with use_options(SimOptions(engine=engine, dedup=False)):
+    with use_options(SimOptions(engine=engine)):
         dev = Device(TITAN_V_SIM)
         dx = dev.to_device(x)
         dout = dev.zeros(N, np.int32)
@@ -157,3 +157,24 @@ __global__ void k(int *x, int *out) {{
 }}
 """
     _assert_tape_matches_interp(src, x)
+
+
+RECURSIVE = """
+__device__ int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
+__global__ void k(int *x, int *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    out[i] = fact(x[i] % 5);
+}
+"""
+
+
+def test_unlowerable_kernel_falls_back_to_interp():
+    """The lowerer rejects recursive device calls; such a launch runs on the
+    interpreter and says so, with the interpreter's own results."""
+    x = np.arange(N, dtype=np.int32)
+    out, sig, engine = _run(RECURSIVE, x, "tape")
+    assert engine == "interp"
+    ref_out, ref_sig, _ = _run(RECURSIVE, x, "interp")
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(out[:5], [1, 1, 2, 6, 24])
+    assert sig == ref_sig

@@ -11,7 +11,6 @@ import pytest
 from repro import Session, SimOptions
 from repro.options import (
     CACHE_ENV,
-    DEDUP_ENV,
     ENGINE_ENV,
     active_options,
     current_options,
@@ -56,21 +55,20 @@ def test_simoptions_cache_path_semantics(tmp_path):
 def test_env_resolution_with_deprecation_warning(monkeypatch):
     _fresh_warnings(monkeypatch)
     monkeypatch.setenv(ENGINE_ENV, "interp")
-    monkeypatch.setenv(DEDUP_ENV, "0")
     monkeypatch.setenv(CACHE_ENV, "")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         opts = SimOptions.from_env()
-    assert (opts.engine, opts.dedup, opts.cache_dir) == ("interp", False, "")
+    assert (opts.engine, opts.cache_dir) == ("interp", "")
     deprecations = [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 3
+    assert len(deprecations) == 2
     assert any(ENGINE_ENV in str(w.message) for w in deprecations)
 
 
 def test_env_deprecation_warns_once_per_var(monkeypatch):
     _fresh_warnings(monkeypatch)
-    monkeypatch.setenv(DEDUP_ENV, "0")
+    monkeypatch.setenv(CACHE_ENV, "")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SimOptions.from_env()
@@ -82,12 +80,12 @@ def test_env_deprecation_warns_once_per_var(monkeypatch):
 
 def test_current_options_prefers_active_over_env(monkeypatch):
     monkeypatch.setenv(ENGINE_ENV, "interp")
-    explicit = SimOptions(engine="compiled")
+    explicit = SimOptions(engine="tape")
     with use_options(explicit):
         assert current_options() is explicit
     assert current_options().engine == "interp"
-    monkeypatch.setenv(ENGINE_ENV, "compiled")
-    assert current_options().engine == "compiled"   # memo keyed on raw env
+    monkeypatch.setenv(ENGINE_ENV, "tape")
+    assert current_options().engine == "tape"   # memo keyed on raw env
     assert active_options() is None
 
 
@@ -95,12 +93,12 @@ def test_current_options_prefers_active_over_env(monkeypatch):
 
 
 def test_session_resolves_env_once_at_construction(monkeypatch):
-    monkeypatch.setenv(DEDUP_ENV, "0")
+    monkeypatch.setenv(ENGINE_ENV, "interp")
     sess = Session("max")
-    assert sess.options.dedup is False
+    assert sess.options.engine == "interp"
     # Later env changes do not affect an existing session.
-    monkeypatch.setenv(DEDUP_ENV, "1")
-    assert sess.options.dedup is False
+    monkeypatch.setenv(ENGINE_ENV, "tape")
+    assert sess.options.engine == "interp"
 
 
 def test_session_rejects_unknown_spec():
@@ -119,25 +117,23 @@ def test_session_end_to_end_launch():
 
 
 def test_session_matches_env_path_bit_identical(monkeypatch):
-    """The redesign contract: Session(engine=interp, no dedup) reproduces the
-    legacy REPRO_SIM_* env run exactly."""
+    """The redesign contract: Session(engine=interp) reproduces the legacy
+    REPRO_SIM_* env run exactly."""
     from repro.runtime import Device
     from repro.sim.arch import TITAN_V_SIM
 
     def run_legacy():
         monkeypatch.setenv(ENGINE_ENV, "interp")
-        monkeypatch.setenv(DEDUP_ENV, "0")
         dev = Device(TITAN_V_SIM)
         unit = dev.compile(SRC)
         x = dev.to_device(np.arange(64, dtype=np.float32))
         y = dev.zeros(64, np.float32)
         res = dev.launch(unit, "scale", 2, 32, [x, y, 64])
         monkeypatch.delenv(ENGINE_ENV)
-        monkeypatch.delenv(DEDUP_ENV)
         return res, y.to_host().copy()
 
     def run_session():
-        sess = Session("max", SimOptions(engine="interp", dedup=False))
+        sess = Session("max", SimOptions(engine="interp"))
         unit = sess.compile(SRC)
         x = sess.to_device(np.arange(64, dtype=np.float32))
         y = sess.zeros(64)
@@ -234,7 +230,7 @@ def test_signature_is_empty_for_default_identity():
     assert SimOptions().signature() == ""
     # Knobs that change HOW results are computed — not WHAT they are — must
     # not participate: caches stay shareable across engines and job counts.
-    assert SimOptions(engine="interp", dedup=False, jobs=8,
+    assert SimOptions(engine="interp", jobs=8,
                       cache_dir="x", trace=True).signature() == ""
 
 
