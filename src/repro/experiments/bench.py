@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from ..obs.trace import NULL_SPAN, Tracer, install as _install_tracer, span
-from ..options import SimOptions, use_options
+from ..options import SimOptions, current_options, use_options
 from ..workloads import get_workload
 from ..workloads.base import run_workload
 from .common import ResultCache
@@ -100,16 +100,19 @@ def bench_sweep(scale: str = "test", jobs: int = 1) -> dict:
 
     cache = ResultCache("")
     t0 = time.perf_counter()
-    report = run_sweep(all_cells(scale), jobs=jobs, cache=cache)
-    build_table3(scale=scale, cache=cache)
-    build_fig2(scale=scale, cache=cache)
-    build_fig3()
-    build_fig6(scale=scale, cache=cache)
-    build_fig7(scale=scale, cache=cache)
-    build_fig8(scale=scale, cache=cache)
-    build_fig9(scale=scale, cache=cache)
-    build_fig10(scale=scale, cache=cache)
-    build_overhead(scale=scale)
+    # The figure builders read ``jobs`` from the active options (fig3 fans
+    # out over it), so the whole pipeline runs under it, as in `catt all`.
+    with use_options(current_options().replace(jobs=jobs)):
+        report = run_sweep(all_cells(scale), jobs=jobs, cache=cache)
+        build_table3(scale=scale, cache=cache)
+        build_fig2(scale=scale, cache=cache)
+        build_fig3()
+        build_fig6(scale=scale, cache=cache)
+        build_fig7(scale=scale, cache=cache)
+        build_fig8(scale=scale, cache=cache)
+        build_fig9(scale=scale, cache=cache)
+        build_fig10(scale=scale, cache=cache)
+        build_overhead(scale=scale)
     seconds = time.perf_counter() - t0
     payload = {
         "seconds": round(seconds, 2),

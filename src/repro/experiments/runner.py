@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", default="bench", choices=["bench", "test"])
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the simulation sweep "
-                             "('all' and 'bench')")
+                             "and fig3's points ('all', 'bench', 'fig3')")
     parser.add_argument("--resume", action="store_true",
                         help="all: resume an interrupted sweep from its "
                              "write-ahead journal instead of starting over")

@@ -39,6 +39,12 @@ sequential run.
 
 Degraded cells (``AppResult.degraded``) are memoized in-process only, same
 as the sequential path — the next sweep retries them.
+
+The supervisor itself is task-generic: it applies one picklable task
+function to picklable items.  :func:`run_sweep` runs :func:`_run_cell` over
+cells with the degraded-``AppResult`` quarantine as its fallback;
+:func:`map_supervised` runs any other task (Fig. 3's microbenchmark points)
+and raises :class:`TaskFailed` for an item that fails every attempt.
 """
 
 from __future__ import annotations
@@ -125,10 +131,9 @@ class SweepPolicy:
 
 DEFAULT_POLICY = SweepPolicy()
 
-_IN_WORKER = False
-
-#: Test hook: called after every accepted cell completion (both execution
-#: paths).  Chaos tests monkeypatch this to interrupt a sweep mid-flight.
+#: Test hook: called after every accepted sweep cell completion (both
+#: execution paths).  Chaos tests monkeypatch this to interrupt a sweep
+#: mid-flight.
 _CHECKPOINT_HOOK = None
 
 
@@ -140,8 +145,6 @@ def _init_worker(options: SimOptions | None, trace_on: bool,
     it works under any start method and keeps :func:`repro.options.
     current_options` the single source of truth inside workers too.
     """
-    global _IN_WORKER
-    _IN_WORKER = True
     set_active_options(options)
     t = _tracer()
     t.reset()
@@ -151,34 +154,42 @@ def _init_worker(options: SimOptions | None, trace_on: bool,
     reg.enabled = metrics_on
 
 
-def _run_cell(cell: Cell) -> tuple[Cell, AppResult, dict | None]:
-    """Worker entry point: simulate one cell against a memory-only cache.
-
-    In a pool worker the third element carries the cell's observability
-    payload (drained spans + a metrics snapshot) back to the parent, which
-    adopts them in caller order — deterministic, like the cache merge.
-    """
+def _run_cell(cell: Cell) -> AppResult:
+    """The sweep's task: simulate one cell against a memory-only cache."""
     app, scheme, spec, scale = cell
-    result = run_app(app, scheme, spec, scale, cache=ResultCache(""))
-    obs = None
-    if _IN_WORKER:
-        t, reg = _tracer(), _registry()
-        if t.enabled or reg.enabled:
-            obs = {
-                "spans": t.drain() if t.enabled else [],
-                "metrics": reg.snapshot() if reg.enabled else None,
-            }
-            if reg.enabled:
-                reg.reset()
-    return cell, result, obs
+    return run_app(app, scheme, spec, scale, cache=ResultCache(""))
 
 
-def _worker_main(conn, options, trace_on, metrics_on,
+def _task_key(item) -> str:
+    """The chaos-plan key of a task item: ``"app|scheme|spec|scale"`` for a
+    cell, the ``|``-joined fields of any other tuple, else ``str(item)``."""
+    if isinstance(item, tuple):
+        return "|".join(map(str, item))
+    return str(item)
+
+
+def _drain_obs() -> dict | None:
+    """This worker's observability payload for the task it just finished:
+    the drained spans plus a metrics snapshot (``None`` when both are off).
+    The parent adopts payloads in caller order, like the cache merge."""
+    t, reg = _tracer(), _registry()
+    if not (t.enabled or reg.enabled):
+        return None
+    obs = {
+        "spans": t.drain() if t.enabled else [],
+        "metrics": reg.snapshot() if reg.enabled else None,
+    }
+    reg.reset()
+    return obs
+
+
+def _worker_main(conn, task, options, trace_on, metrics_on,
                  chaos: ChaosPlan | None) -> None:
-    """Supervised worker loop: one task at a time over a private pipe.
+    """Supervised worker loop: apply ``task`` to one item at a time over a
+    private pipe.
 
-    Messages out: ``("start", cell, attempt)`` as the heartbeat claiming a
-    task, then ``("done", cell, attempt, result, obs)`` or ``("fail", cell,
+    Messages out: ``("start", item, attempt)`` as the heartbeat claiming an
+    item, then ``("done", item, attempt, result, obs)`` or ``("fail", item,
     attempt, detail)``.  A crash between start and done is what the
     supervisor's liveness polling catches.  The pipe is private to this
     worker — there is deliberately no shared queue, so killing a worker
@@ -187,26 +198,31 @@ def _worker_main(conn, options, trace_on, metrics_on,
     """
     _init_worker(options, trace_on, metrics_on)
     set_worker_chaos(chaos)
+    t, reg = _tracer(), _registry()
     while True:
         try:
-            item = conn.recv()
+            msg = conn.recv()
         except (EOFError, OSError):   # parent is gone
             return
-        if item is None:
+        if msg is None:
             return
-        cell, attempt = item
+        item, attempt = msg
         try:
-            conn.send(("start", cell, attempt))
+            conn.send(("start", item, attempt))
+            # A failed attempt's spans and counters must not leak into the
+            # next item's payload.
+            t.reset()
+            reg.reset()
             try:
-                check_worker_fault("|".join(cell), attempt)
-                _, result, obs = _run_cell(cell)
+                check_worker_fault(_task_key(item), attempt)
+                result = task(item)
             except KeyboardInterrupt:
                 return
             except BaseException as exc:
-                conn.send(("fail", cell, attempt, repr(exc)))
+                conn.send(("fail", item, attempt, repr(exc)))
                 continue
-            conn.send(("done", cell, attempt, result, obs))
-        except KeyboardInterrupt:   # parent is shutting the sweep down
+            conn.send(("done", item, attempt, result, _drain_obs()))
+        except KeyboardInterrupt:   # parent is shutting the pool down
             return
         except OSError:             # pipe closed under us: nobody to tell
             return
@@ -228,21 +244,40 @@ def _quarantine_result(cell: Cell, kind: str, attempts: int,
                      diagnostics=[diag.to_dict()], degraded=True)
 
 
+class TaskFailed(RuntimeError):
+    """A supervised task failed every attempt and its caller gave it no
+    degraded fallback (see :func:`map_supervised`)."""
+
+    def __init__(self, item, kind: str, attempts: int, detail: str):
+        super().__init__(f"{_task_key(item)} failed after {attempts} "
+                         f"attempt(s); last failure: {kind} ({detail})")
+        self.item = item
+        self.kind = kind
+        self.attempts = attempts
+        self.detail = detail
+
+
 class _Worker:
     """One supervised worker process plus its private pipe end."""
 
-    __slots__ = ("proc", "conn", "cell", "attempt", "started")
+    __slots__ = ("proc", "conn", "item", "attempt", "started")
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.cell: Cell | None = None
+        self.item = None
         self.attempt = 0
         self.started = 0.0
 
 
 class _Supervisor:
-    """Deadline/retry/respawn supervisor over a fleet of sweep workers.
+    """Deadline/retry/respawn supervisor over a fleet of task workers.
+
+    Every worker applies the same picklable ``task`` to picklable, hashable
+    items.  A result with a truthy ``degraded`` attribute counts as a failed
+    attempt.  An item that exhausts its retries is replaced by
+    ``fallback(item, kind, attempts, detail)``, or, with no fallback,
+    raises :class:`TaskFailed`.
 
     Each worker communicates over its own duplex pipe — deliberately no
     shared ``mp.Queue``: killing a worker mid-operation on a shared queue
@@ -250,28 +285,30 @@ class _Supervisor:
     which is exactly the failure mode a supervisor that kills workers must
     not have.  With private pipes, kill damage is confined to the victim's
     own channel, which is simply closed and replaced.  The supervisor polls
-    worker liveness and per-cell deadlines every ``policy.poll`` seconds.
+    worker liveness and per-item deadlines every ``policy.poll`` seconds.
     """
 
     def __init__(self, ctx, jobs: int, policy: SweepPolicy, initargs,
-                 chaos: ChaosPlan | None):
+                 chaos: ChaosPlan | None, task, fallback=None):
         self.ctx = ctx
         self.jobs = jobs
         self.policy = policy
         self.initargs = initargs
         self.chaos = chaos
+        self.task = task
+        self.fallback = fallback
         self.workers: list[_Worker] = []
-        self.results: dict[Cell, AppResult] = {}
-        self.obs: dict[Cell, dict | None] = {}
+        self.results: dict = {}
+        self.obs: dict = {}
         self.retried = 0
         self.timeouts = 0
         self.crashes = 0
         self.quarantined = 0
         self.respawns = 0
-        self.on_complete = None     # callback(cell, result): WAL journaling
+        self.on_complete = None     # callback(item, result): WAL journaling
         self._wid = 0
-        self._pending: deque = deque()     # (cell, attempt) ready to run
-        self._delayed: list = []           # heap of (ready_ts, cell, attempt)
+        self._pending: deque = deque()     # (item, attempt) ready to run
+        self._delayed: list = []           # heap of (ready_ts, item, attempt)
 
     # -- worker lifecycle ---------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -280,7 +317,7 @@ class _Supervisor:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, *self.initargs, self.chaos),
+            args=(child_conn, self.task, *self.initargs, self.chaos),
             name=f"sweep-worker-{wid}",
             daemon=True,
         )
@@ -311,35 +348,34 @@ class _Supervisor:
     # -- scheduling ---------------------------------------------------------
     def _dispatch(self) -> None:
         for worker in self.workers:
-            if worker.cell is not None:
+            if worker.item is not None:
                 continue
-            item = self._next_task()
-            if item is None:
+            task = self._next_task()
+            if task is None:
                 return
             try:
-                worker.conn.send(item)
+                worker.conn.send(task)
             except (BrokenPipeError, OSError):
                 # Dead worker: requeue the task, let policing respawn it.
-                self._pending.appendleft(item)
+                self._pending.appendleft(task)
                 continue
-            worker.cell = item[0]
-            worker.attempt = item[1]
+            worker.item, worker.attempt = task
             worker.started = time.monotonic()
 
     def _next_task(self):
         while self._pending:
-            cell, attempt = self._pending.popleft()
-            if cell not in self.results:    # lazily drop superseded retries
-                return cell, attempt
+            item, attempt = self._pending.popleft()
+            if item not in self.results:    # lazily drop superseded retries
+                return item, attempt
         return None
 
     def _promote_delayed(self, now: float) -> None:
         while self._delayed and self._delayed[0][0] <= now:
-            _, cell, attempt = heapq.heappop(self._delayed)
-            if cell not in self.results:
-                self._pending.append((cell, attempt))
+            _, item, attempt = heapq.heappop(self._delayed)
+            if item not in self.results:
+                self._pending.append((item, attempt))
 
-    def _record_failure(self, cell: Cell, attempt: int, kind: str,
+    def _record_failure(self, item, attempt: int, kind: str,
                         detail: str) -> None:
         reg = _registry()
         if attempt < self.policy.retries:
@@ -347,21 +383,21 @@ class _Supervisor:
             if reg.enabled:
                 reg.counter("sweep.retries").inc()
             ready = time.monotonic() + self.policy.backoff * (2 ** attempt)
-            heapq.heappush(self._delayed, (ready, cell, attempt + 1))
-        else:
-            self.quarantined += 1
-            if reg.enabled:
-                reg.counter("sweep.quarantined").inc()
-            self._accept(cell, _quarantine_result(cell, kind, attempt + 1,
-                                                  detail), None)
+            heapq.heappush(self._delayed, (ready, item, attempt + 1))
+            return
+        if self.fallback is None:
+            raise TaskFailed(item, kind, attempt + 1, detail)
+        self.quarantined += 1
+        if reg.enabled:
+            reg.counter("sweep.quarantined").inc()
+        self._accept(item, self.fallback(item, kind, attempt + 1, detail),
+                     None)
 
-    def _accept(self, cell: Cell, result: AppResult, obs) -> None:
-        self.results[cell] = result
-        self.obs[cell] = obs
+    def _accept(self, item, result, obs) -> None:
+        self.results[item] = result
+        self.obs[item] = obs
         if self.on_complete is not None:
-            self.on_complete(cell, result)
-        if _CHECKPOINT_HOOK is not None:
-            _CHECKPOINT_HOOK(cell)
+            self.on_complete(item, result)
 
     # -- message handling ---------------------------------------------------
     def _drain(self, worker: _Worker) -> None:
@@ -370,9 +406,9 @@ class _Supervisor:
             if not worker.proc.is_alive():
                 # Never recv from a dead worker: its last message may be
                 # torn mid-write and recv would block forever.  Liveness
-                # policing retires the pipe and reschedules the cell — a
+                # policing retires the pipe and reschedules the item — a
                 # complete-but-unread final result is recomputed, which is
-                # safe because cells are deterministic.
+                # safe because tasks are deterministic.
                 return
             try:
                 if not worker.conn.poll():
@@ -383,66 +419,62 @@ class _Supervisor:
             self._handle(worker, msg)
 
     def _handle(self, worker: _Worker, msg) -> None:
-        tag = msg[0]
+        tag, item, attempt = msg[:3]
         if tag == "start":
-            _, cell, attempt = msg
-            if worker.cell == cell:
+            if worker.item == item:
                 worker.started = time.monotonic()
             return
+        if worker.item == item:
+            worker.item = None
+        if item in self.results:
+            return   # stale duplicate of an already-accepted item
         if tag == "done":
-            _, cell, attempt, result, obs = msg
-            if worker.cell == cell:
-                worker.cell = None
-            if cell in self.results:
-                return   # stale duplicate of an already-accepted cell
-            if result.degraded and attempt < self.policy.retries:
-                # A degraded cell is a failed attempt: retry it before
-                # accepting the zero-cycle fallback.
-                self._record_failure(cell, attempt, "degraded",
+            _, _, _, result, obs = msg
+            if (getattr(result, "degraded", False)
+                    and attempt < self.policy.retries):
+                # A degraded result is a failed attempt: retry it before
+                # accepting the degraded value.
+                self._record_failure(item, attempt, "degraded",
                                      "in-process degradation")
                 return
-            self._accept(cell, result, obs)
-            return
-        if tag == "fail":
-            _, cell, attempt, detail = msg
-            if worker.cell == cell:
-                worker.cell = None
-            if cell not in self.results:
-                self._record_failure(cell, attempt, "fault", detail)
+            self._accept(item, result, obs)
+        elif tag == "fail":
+            self._record_failure(item, attempt, "fault", msg[3])
 
     # -- liveness / deadlines -----------------------------------------------
     def _police(self, now: float) -> None:
         reg = _registry()
         for idx, worker in enumerate(self.workers):
             if not worker.proc.is_alive():
-                cell, attempt = worker.cell, worker.attempt
+                item, attempt = worker.item, worker.attempt
                 exitcode = worker.proc.exitcode
                 self._retire(worker, kill=False)
                 self._respawn(idx)
-                if cell is not None and cell not in self.results:
+                if item is not None and item not in self.results:
                     self.crashes += 1
                     if reg.enabled:
                         reg.counter("sweep.crashes").inc()
-                    self._record_failure(cell, attempt, "crash",
+                    self._record_failure(item, attempt, "crash",
                                          f"worker exited with {exitcode}")
                 continue
-            if (worker.cell is not None
+            if (worker.item is not None
                     and self.policy.cell_timeout is not None
                     and now - worker.started > self.policy.cell_timeout):
-                cell, attempt = worker.cell, worker.attempt
+                item, attempt = worker.item, worker.attempt
                 self._retire(worker, kill=True)
                 self._respawn(idx)
-                if cell not in self.results:
+                if item not in self.results:
                     self.timeouts += 1
                     if reg.enabled:
                         reg.counter("sweep.timeouts").inc()
                     self._record_failure(
-                        cell, attempt, "timeout",
+                        item, attempt, "timeout",
                         f"exceeded {self.policy.cell_timeout}s deadline")
 
     # -- main loop ----------------------------------------------------------
-    def run(self, todo: list[Cell]) -> None:
-        self._pending = deque((cell, 0) for cell in todo)
+    def run(self, todo: list) -> None:
+        """Run every item of ``todo``, dispatched in list order."""
+        self._pending = deque((item, 0) for item in todo)
         target = len(todo)
         for _ in range(min(self.jobs, max(target, 1))):
             self.workers.append(self._spawn())
@@ -476,6 +508,49 @@ class _Supervisor:
             worker.proc.join(1.0)
             self._retire(worker, kill=True)
         self.workers = []
+
+
+def _start_supervisor(task, jobs: int, options: SimOptions | None,
+                      policy: SweepPolicy, chaos: ChaosPlan | None,
+                      fallback=None) -> _Supervisor:
+    # fork inherits the warmed import state; fall back to spawn where fork
+    # is unavailable (it re-imports, only slower).
+    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    initargs = (options, _tracer().enabled, _registry().enabled)
+    return _Supervisor(mp.get_context(method), jobs, policy, initargs, chaos,
+                       task, fallback)
+
+
+def _adopt_obs(obs: dict | None) -> None:
+    """Fold one item's worker payload into this process's tracer/registry."""
+    if not obs:
+        return
+    if obs.get("spans"):
+        _tracer().adopt(obs["spans"])
+    if obs.get("metrics"):
+        _registry().merge(obs["metrics"])
+
+
+def map_supervised(task, items: list, jobs: int, key=None,
+                   chaos: ChaosPlan | None = None) -> list:
+    """``[task(item) for item in items]`` on ``jobs`` supervised workers.
+
+    ``task`` and every item must be picklable, and items hashable; a
+    repeated item runs once.  Items are dispatched sorted by ``key``
+    (default: as given), so a caller can start its longest items first.
+    Results and each item's worker spans and metrics are merged in
+    ``items`` order, whatever the completion order.  Workers run under the
+    active :class:`SimOptions` and get :func:`run_sweep`'s crash and retry
+    supervision under :data:`DEFAULT_POLICY`; an item that fails every
+    attempt raises :class:`TaskFailed`.
+    """
+    unique = list(dict.fromkeys(items))
+    sup = _start_supervisor(task, min(jobs, len(unique)), active_options(),
+                            DEFAULT_POLICY, chaos)
+    sup.run(sorted(unique, key=key) if key else unique)
+    for item in unique:
+        _adopt_obs(sup.obs[item])
+    return [sup.results[item] for item in items]
 
 
 @dataclass
@@ -591,21 +666,17 @@ def run_sweep(
             if wal is not None and not result.degraded:
                 wal.append(ResultCache.key(*cell, signature=signature),
                            _to_json(result))
+            if _CHECKPOINT_HOOK is not None:
+                _CHECKPOINT_HOOK(cell)
 
         def _merge() -> int:
             """Fold results into cache/tracer/registry in caller order."""
             degraded = 0
-            t, reg = _tracer(), _registry()
             for cell in cells:   # caller order, not completion order
                 result = results.get(cell)
                 if result is None:
                     continue   # served from cache (or still in flight)
-                obs = obs_by_cell.get(cell)
-                if obs:
-                    if obs.get("spans"):
-                        t.adopt(obs["spans"])
-                    if obs.get("metrics"):
-                        reg.merge(obs["metrics"])
+                _adopt_obs(obs_by_cell.get(cell))
                 key = ResultCache.key(*cell, signature=signature)
                 if result.degraded:
                     degraded += 1
@@ -616,14 +687,9 @@ def run_sweep(
 
         try:
             if jobs > 1 and len(todo_run) > 1:
-                # fork inherits the warmed import state; fall back to spawn
-                # where fork is unavailable (it re-imports, only slower).
-                method = ("fork" if "fork" in mp.get_all_start_methods()
-                          else "spawn")
-                ctx = mp.get_context(method)
-                initargs = (options, _tracer().enabled, _registry().enabled)
-                sup = _Supervisor(ctx, min(jobs, len(todo_run)), policy,
-                                  initargs, chaos)
+                sup = _start_supervisor(_run_cell, min(jobs, len(todo_run)),
+                                        options, policy, chaos,
+                                        fallback=_quarantine_result)
                 sup.on_complete = _journal
                 try:
                     sup.run(todo_run)
@@ -648,7 +714,7 @@ def run_sweep(
                 with scope:
                     for cell in todo_run:
                         for attempt in range(policy.retries + 1):
-                            result = _run_cell(cell)[1]
+                            result = _run_cell(cell)
                             if not result.degraded \
                                     or attempt == policy.retries:
                                 break
@@ -659,8 +725,6 @@ def run_sweep(
                         results[cell] = result
                         obs_by_cell[cell] = None
                         _journal(cell, result)
-                        if _CHECKPOINT_HOOK is not None:
-                            _CHECKPOINT_HOOK(cell)
         except KeyboardInterrupt:
             # Flush what finished, keep the journal for --resume, and let
             # the interrupt propagate: nothing completed is ever lost.

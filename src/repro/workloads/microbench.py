@@ -20,8 +20,7 @@ from ..transform import force_throttle
 TOTAL_WARPS = 32
 
 
-def microbench_source(span_lines: int, iters: int,
-                      total_warps: int = TOTAL_WARPS) -> str:
+def microbench_source(span_lines: int, iters: int) -> str:
     return f"""
 #define SPAN {span_lines}
 #define ITERS {iters}
@@ -58,7 +57,7 @@ def run_microbench(
         l1d_lines = spec.l1d_bytes_for_carveout(0) // spec.cache_line
     span = max(l1d_lines // fill_warps, 1)
     nthreads = total_warps * spec.warp_size
-    unit = parse(microbench_source(span, iters, total_warps))
+    unit = parse(microbench_source(span, iters))
     n = total_warps // tlp_warps
     if n > 1:
         unit = force_throttle(unit, "microbench", nthreads, spec, n, 0, grid=1)

@@ -131,3 +131,34 @@ def test_verify_baseline_manifest_rejects_tampered(baseline_file):
     mpath.write_text(json.dumps(doc))
     problem = verify_baseline_manifest(baseline_file)
     assert problem is not None and "mismatch" in problem
+
+
+def test_bench_sweep_runs_figure_builders_under_its_jobs(monkeypatch):
+    """bench_sweep's jobs reaches build_fig3, which reads it from the active
+    options: the timed pipeline is the one `catt all --jobs N` runs."""
+    from repro.experiments import bench as bench_mod
+    from repro.experiments import (fig2, fig3, fig6, fig7, fig8, fig9, fig10,
+                                   overhead, table3)
+    from repro.experiments.sweep import SweepReport
+    from repro.options import current_options
+
+    seen = {}
+    monkeypatch.setattr(
+        bench_mod, "run_sweep",
+        lambda cells, jobs, cache: SweepReport(
+            cells=len(cells), computed=0, cached=0, degraded=0, jobs=jobs,
+            seconds=0.0))
+    for mod, name in ((table3, "build_table3"), (fig2, "build_fig2"),
+                      (fig6, "build_fig6"), (fig7, "build_fig7"),
+                      (fig8, "build_fig8"), (fig9, "build_fig9"),
+                      (fig10, "build_fig10"),
+                      (overhead, "build_overhead")):
+        monkeypatch.setattr(mod, name, lambda **kw: None)
+
+    def spy_fig3():
+        seen["jobs"] = current_options().jobs
+
+    monkeypatch.setattr(fig3, "build_fig3", spy_fig3)
+    payload = bench_mod.bench_sweep("test", jobs=2)
+    assert seen == {"jobs": 2}
+    assert payload["jobs"] == 2

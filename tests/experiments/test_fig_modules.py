@@ -8,7 +8,14 @@ from repro.experiments.fig6 import build_fig6, format_fig6
 from repro.experiments.fig8 import build_fig8, format_fig8
 from repro.experiments.fig9 import build_fig9, format_fig9
 from repro.experiments.fig10 import build_fig10, format_fig10
+from repro.experiments.sweep import TaskFailed
 from repro.experiments.table3 import build_table3
+from repro.obs.metrics_registry import (
+    MetricsRegistry,
+    install as install_registry,
+    registry,
+)
+from repro.options import SimOptions, use_options
 
 
 @pytest.fixture
@@ -22,6 +29,48 @@ def test_fig3_tiny():
     assert set(data[4]) == {4, 32}
     assert best_tlp(data[4]) in (4, 32)
     assert "L1D-full-with-4" in format_fig3(data)
+
+
+TINY_FIG3 = dict(fill_points=(4, 8), tlps=(1, 4, 32), iters=2, l1d_lines=64)
+
+
+def _fig3_under_jobs(jobs, **kwargs):
+    """build_fig3 at ``jobs`` into a fresh enabled registry; returns the
+    figure and the sim counters fig3 must account for."""
+    prev = install_registry(MetricsRegistry(enabled=True))
+    try:
+        with use_options(SimOptions(jobs=jobs)):
+            data = build_fig3(**kwargs)
+        counters = registry().snapshot()["counters"]
+    finally:
+        install_registry(prev)
+    return data, {k: v for k, v in counters.items()
+                  if k in ("sim.instructions", "sim.launches", "sim.cycles")
+                  or k.startswith("sim.l1.load.")}
+
+
+def test_fig3_parallel_equals_serial():
+    """jobs=2 fans the points over supervised workers: same cycles, same
+    key order, and the workers' sim counters merge into the parent."""
+    serial, serial_counters = _fig3_under_jobs(1, **TINY_FIG3)
+    parallel, parallel_counters = _fig3_under_jobs(2, **TINY_FIG3)
+    assert parallel == serial
+    assert list(parallel) == list(serial) == [4, 8]
+    assert all(list(parallel[f]) == list(serial[f]) == [1, 4, 32]
+               for f in serial)
+    assert serial_counters["sim.launches"] == 6
+    assert serial_counters["sim.l1.load.hits"] > 0
+    assert parallel_counters == serial_counters
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fig3_bad_point_raises_not_degrades(jobs):
+    """A TLP that does not divide 32 warps cannot run: it raises under
+    either job count and never comes back as a zero-cycle value."""
+    expected = ValueError if jobs == 1 else TaskFailed
+    with use_options(SimOptions(jobs=jobs)), \
+            pytest.raises(expected, match="TLP 3 must divide 32"):
+        build_fig3(fill_points=(4,), tlps=(3, 4), iters=2, l1d_lines=64)
 
 
 def test_fig6_single_app(cache):

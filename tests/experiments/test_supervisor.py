@@ -4,15 +4,19 @@ checkpoint/resume via the WAL, interrupt flushing, and the CLI wiring."""
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
 from repro.experiments.common import AppResult, ResultCache
 from repro.experiments.sweep import (
     SweepPolicy,
+    TaskFailed,
     format_sweep_health,
+    map_supervised,
     run_sweep,
 )
+from repro.obs.metrics_registry import MetricsRegistry, install, registry
 from repro.testing.faults import ChaosPlan, WorkerFault
 
 CELLS = [("ATAX", "baseline", "max", "test"),
@@ -135,9 +139,9 @@ def test_sequential_path_retries_degraded_cells(monkeypatch, tmp_path):
     def flaky_run_cell(c):
         calls["n"] += 1
         degraded = calls["n"] == 1
-        return c, AppResult(c[0], c[1], c[2], c[3],
-                            total_cycles=0 if degraded else 42, kernels={},
-                            degraded=degraded), None
+        return AppResult(c[0], c[1], c[2], c[3],
+                         total_cycles=0 if degraded else 42, kernels={},
+                         degraded=degraded)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", flaky_run_cell)
     cache = ResultCache(tmp_path / "c")
@@ -147,6 +151,73 @@ def test_sequential_path_retries_degraded_cells(monkeypatch, tmp_path):
     assert report.retried == 1
     assert report.degraded == 0
     assert cache.get(ResultCache.key(*cell)).total_cycles == 42
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def test_non_cell_task_crash_is_retried_to_its_result():
+    """The supervisor runs any picklable task: a crashed worker's int item
+    is retried on a respawned worker, and results come back in caller
+    order."""
+    plan = ChaosPlan(faults=(WorkerFault(kind="crash", match="3",
+                                         attempts=1),))
+    prev = install(MetricsRegistry(enabled=True))
+    try:
+        got = map_supervised(_square, [1, 2, 3], jobs=2, key=lambda x: -x,
+                             chaos=plan)
+        counters = registry().snapshot()["counters"]
+    finally:
+        install(prev)
+    assert got == [1, 4, 9]
+    assert counters["sweep.crashes"] == 1
+    assert counters["sweep.retries"] == 1
+
+
+def test_non_cell_poison_item_raises_task_failed():
+    """An item with no degraded fallback is raised, not quarantined."""
+    plan = ChaosPlan(faults=(WorkerFault(kind="fail", match="2",
+                                         attempts=99),))
+    prev = install(MetricsRegistry(enabled=True))
+    try:
+        with pytest.raises(TaskFailed,
+                           match="2 failed after 3 attempt") as info:
+            map_supervised(_square, [1, 2], jobs=2, chaos=plan)
+        counters = registry().snapshot()["counters"]
+    finally:
+        install(prev)
+    assert info.value.item == 2 and info.value.kind == "fault"
+    assert counters["sweep.retries"] == 2
+    assert "sweep.quarantined" not in counters
+
+
+def _count_then_fail_once(item: tuple) -> int:
+    """Bump a counter for every attempt; the first attempt of an item whose
+    marker file is absent then raises after the bump."""
+    marker, n = item
+    registry().counter("test.attempts").inc()
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("first attempt fails")
+    return n
+
+
+def test_failed_attempt_metrics_do_not_leak_into_next_item(tmp_path):
+    """A failed attempt's counters are discarded with the attempt: the
+    parent's merged counter counts only the accepted attempts."""
+    items = [(str(tmp_path / "once"), 0), ("", 1), ("", 2)]
+    prev = install(MetricsRegistry(enabled=True))
+    try:
+        # One worker runs the retry and every later item, so a leaked
+        # count would ship with one of their payloads.
+        got = map_supervised(_count_then_fail_once, items, jobs=1)
+        counters = registry().snapshot()["counters"]
+    finally:
+        install(prev)
+    assert got == [0, 1, 2]
+    assert counters["sweep.retries"] == 1
+    assert counters["test.attempts"] == len(items)
 
 
 # -- checkpoint / resume ------------------------------------------------------

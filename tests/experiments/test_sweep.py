@@ -75,8 +75,8 @@ def test_degraded_cell_stays_transient(monkeypatch, tmp_path):
     cell = ("ATAX", "baseline", "max", "test")
 
     def fake_run_cell(c):
-        return c, AppResult(c[0], c[1], c[2], c[3], total_cycles=0,
-                            kernels={}, degraded=True)
+        return AppResult(c[0], c[1], c[2], c[3], total_cycles=0,
+                         kernels={}, degraded=True)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", fake_run_cell)
     cache = ResultCache(tmp_path / "results.json")
