@@ -287,10 +287,13 @@ def check_regression(payload: dict, baseline_path: str | Path,
     """Compare ``payload`` against a committed baseline.
 
     Returns human-readable failure strings for every metric more than
-    ``factor`` times worse than the baseline, and for every baseline engine
-    row the payload does not measure (empty list = pass).  Only
-    ratios are compared, so the gate tolerates absolute machine-speed
-    differences between the commit host and CI runners up to ``factor``.
+    ``factor`` times worse than the baseline, for every baseline engine
+    row the payload does not measure, and for every engine row whose
+    ``warp_instructions`` differs from the baseline's (empty list = pass).
+    Timings are compared as ratios, so the gate tolerates absolute
+    machine-speed differences between the commit host and CI runners up to
+    ``factor``.  The instruction count is deterministic work, the same on
+    every machine and engine, so it must match exactly.
     The observability gate is absolute: disabled-instrumentation overhead
     (``obs_overhead.overhead_pct``) may not exceed ``max_overhead_pct``.
     """
@@ -322,5 +325,14 @@ def check_regression(payload: dict, baseline_path: str | Path,
             failures.append(
                 f"{label} throughput regressed >{factor:g}x: "
                 f"{n_rate:,d} vs baseline {b_rate:,d} warp-inst/s"
+            )
+        b_work = row.get("warp_instructions")
+        n_work = (payload.get("engine_throughput", {})
+                  .get(label, {}).get("warp_instructions"))
+        if b_work is not None and n_work is not None and n_work != b_work:
+            failures.append(
+                f"{label} warp instructions differ from the baseline: "
+                f"{n_work:,d} vs {b_work:,d} (deterministic work must "
+                f"match exactly)"
             )
     return failures

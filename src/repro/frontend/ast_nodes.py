@@ -60,9 +60,16 @@ class CType:
         return SCALAR_SIZES.get(self.base, 4)
 
     def pointee(self) -> "CType":
-        if not self.is_pointer:
-            raise ValueError(f"{self} is not a pointer")
-        return CType(self.base, self.pointer_depth - 1, self.is_const)
+        # Memoized on the instance: a fresh CType per call would miss the
+        # dtype and promotion memos the simulator keeps on each instance,
+        # and grow the other operand's id-keyed promotion memo on every load.
+        p = getattr(self, "_pointee", None)
+        if p is None:
+            if not self.is_pointer:
+                raise ValueError(f"{self} is not a pointer")
+            p = CType(self.base, self.pointer_depth - 1, self.is_const)
+            object.__setattr__(self, "_pointee", p)
+        return p
 
     def __str__(self) -> str:
         const = "const " if self.is_const else ""

@@ -699,19 +699,58 @@ class _Lowerer:
 # ---------------------------------------------------------------------------
 
 
-class _MaskInfo:
-    """Lazily-computed per-mask derived data, identity-keyed per flush
-    region.  Holding ``mask`` pins its id against recycling."""
+# Mask identity invariant: a mask handed to ``_run`` or ``_ment`` is never
+# mutated in place.  Every mask operation builds a new array; only
+# ``frame.broke`` and ``frame.continued`` are updated in place, and they are
+# never used as ``cur``.  So data derived from a mask object (``_MaskInfo``)
+# stays valid for the object's lifetime, across flushes and loop iterations,
+# and the handlers keep a mask *object* whenever a recomputed mask equals
+# one they already hold (``_keep``), so a loop region reuses that data
+# instead of rederiving it on every statement of every iteration.
 
-    __slots__ = ("mask", "block_any", "timed_act", "lanes", "tbounds", "runs")
+# Masks whose derived data is kept at once.  At bench scale one mask plus
+# its lane index reaches 65,536 lanes (~0.6 MB), so the cap bounds memory.
+_MCACHE_LIMIT = 8
+
+
+class _MaskInfo:
+    """Lazily-computed per-mask derived data, identity-keyed (bounded FIFO
+    in ``TapeExecutor._mcache``).  Holding ``mask`` pins its id against
+    recycling while the entry lives."""
+
+    __slots__ = ("mask", "any", "block_any", "timed_act", "streams", "lanes",
+                 "rows", "tbounds", "runs")
 
     def __init__(self, mask: np.ndarray):
         self.mask = mask
+        self.any = None
         self.block_any = None
         self.timed_act = None
+        self.streams = None
         self.lanes = None
+        self.rows = None
         self.tbounds = None
         self.runs = None
+
+
+def _keep(new: np.ndarray, *held) -> np.ndarray:
+    """The first mask in ``held`` equal to ``new`` (so its cached derived
+    data carries over), else ``new``.  Byte comparison: equal to
+    ``np.array_equal`` on same-shape bool masks, and cheaper at warp-group
+    lane counts."""
+    nb = None
+    for old in held:
+        if old is not None:
+            if nb is None:
+                nb = new.tobytes()
+            if old.tobytes() == nb:
+                return old
+    return new
+
+
+# Tally-mask state meaning "tallies came from more than one mask since the
+# last flush; they are in the per-slot ``ops_t``/``sfu_t`` arrays".
+_MIXED = object()
 
 
 class WideShared:
@@ -784,10 +823,16 @@ class TapeExecutor:
         # Timed-slot accounting.
         self.timed_ids = timed_slots
         self.ntimed = int(timed_slots.size)
+        # Tallies since the last flush.  While they all come from one mask
+        # (``_tmask``) they are two ints, flushed as one interned event per
+        # slot of that mask; a second mask spills them into the per-slot
+        # arrays (``_tmask is _MIXED``).
+        self._tmask = None
+        self._tops = 0
+        self._tsfu = 0
         self.ops_t = np.zeros(self.ntimed, dtype=np.int64)
         self.sfu_t = np.zeros(self.ntimed, dtype=np.int64)
-        self.ops_flag = False
-        self.sfu_flag = False
+        self._if_masks: dict[int, tuple] = {}
         self.pending: list[tuple] = []
         self.tstreams: list[list[Event]] = [[] for _ in range(self.ntimed)]
         self._full_tbounds = [
@@ -845,11 +890,20 @@ class TapeExecutor:
 
     # -- mask-derived data ------------------------------------------------
     def _ment(self, mask: np.ndarray) -> _MaskInfo:
-        ent = self._mcache.get(id(mask))
+        cache = self._mcache
+        ent = cache.get(id(mask))
         if ent is None or ent.mask is not mask:
             ent = _MaskInfo(mask)
-            self._mcache[id(mask)] = ent
+            cache[id(mask)] = ent
+            if len(cache) > _MCACHE_LIMIT:
+                del cache[next(iter(cache))]
         return ent
+
+    def _any(self, mask: np.ndarray) -> bool:
+        ent = self._ment(mask)
+        if ent.any is None:
+            ent.any = bool(mask.any())
+        return ent.any
 
     def _block_any(self, mask: np.ndarray) -> np.ndarray:
         ent = self._ment(mask)
@@ -862,6 +916,15 @@ class TapeExecutor:
         if ent.timed_act is None:
             ent.timed_act = self._block_any(mask)[self.timed_ids]
         return ent.timed_act
+
+    def _timed_streams(self, mask: np.ndarray) -> list:
+        """The event lists of the timed slots the mask has active."""
+        ent = self._ment(mask)
+        if ent.streams is None:
+            tstreams = self.tstreams
+            ent.streams = [tstreams[i] for i in
+                           np.flatnonzero(self._timed_act(mask)).tolist()]
+        return ent.streams
 
     def _lanes(self, mask: np.ndarray) -> np.ndarray:
         ent = self._ment(mask)
@@ -906,25 +969,33 @@ class TapeExecutor:
         return ent.runs
 
     # -- accounting -------------------------------------------------------
-    def _tally(self, mask: np.ndarray, n: int) -> None:
+    def _tally(self, mask: np.ndarray, n: int, sfu: bool = False) -> None:
         if not self.ntimed:
             return
-        ta = self._timed_act(mask)
-        if n == 1:
-            self.ops_t += ta
+        tm = self._tmask
+        if tm is not mask:
+            if tm is None:
+                self._tmask = mask
+            else:
+                if tm is not _MIXED:
+                    self._spill()
+                arr = self.sfu_t if sfu else self.ops_t
+                arr[self._timed_act(mask)] += n
+                return
+        if sfu:
+            self._tsfu += n
         else:
-            self.ops_t[ta] += n
-        self.ops_flag = True
+            self._tops += n
 
-    def _tally_sfu(self, mask: np.ndarray, n: int) -> None:
-        if not self.ntimed:
-            return
-        ta = self._timed_act(mask)
-        if n == 1:
-            self.sfu_t += ta
-        else:
-            self.sfu_t[ta] += n
-        self.sfu_flag = True
+    def _spill(self) -> None:
+        """Move the single-mask tallies into the per-slot arrays."""
+        tm = self._tmask
+        if tm is not _MIXED:
+            ta = self._timed_act(tm)
+            self.ops_t[ta] += self._tops
+            self.sfu_t[ta] += self._tsfu
+            self._tops = self._tsfu = 0
+        self._tmask = _MIXED
 
     def _emit_mem(self, addresses: np.ndarray, itemsize: int, write: bool,
                   space: str, mask: np.ndarray) -> None:
@@ -938,53 +1009,47 @@ class TapeExecutor:
         """The engine's flush-if-needed guard (one uop per statement)."""
         if self.discard_masks:
             self._discard_flush()
-        elif self.ops_flag or self.sfu_flag or self.pending:
+        elif self._tmask is not None or self.pending:
             self._do_flush()
 
     def _do_flush(self) -> None:
         tstreams = self.tstreams
-        if self.ops_flag or self.sfu_flag:
+        tm = self._tmask
+        if tm is _MIXED:
             # One ndarray->list conversion then a plain-Python sweep beats
             # the nonzero/fancy-index/compare chain for warp-scale slot
             # counts; compute_event interning makes the repeat calls cheap.
             ot = self.ops_t
-            if self.sfu_flag:
-                sft = self.sfu_t
-                o0 = ot[0] if ot.size else 0
-                s0 = sft[0] if sft.size else 0
-                if (o0 or s0) and (ot == o0).all() and (sft == s0).all():
-                    ev = compute_event(int(o0), int(s0))
-                    for st in tstreams:
-                        st.append(ev)
-                else:
-                    svals = sft.tolist()
-                    for i, o in enumerate(ot.tolist()):
-                        sf = svals[i]
-                        if o or sf:
-                            tstreams[i].append(compute_event(o, sf))
-                sft[:] = 0
+            sft = self.sfu_t
+            o0 = ot[0] if ot.size else 0
+            s0 = sft[0] if sft.size else 0
+            if (o0 or s0) and (ot == o0).all() and (sft == s0).all():
+                # Every timed slot owes the identical batch.
+                ev = compute_event(int(o0), int(s0))
+                for st in tstreams:
+                    st.append(ev)
             else:
-                o0 = ot[0] if ot.size else 0
-                if o0 and (ot == o0).all():
-                    # Convergent launches owe every timed slot the identical
-                    # batch; one compare + one interned event covers all of
-                    # them without a per-slot Python sweep.
-                    ev = compute_event(int(o0))
-                    for st in tstreams:
-                        st.append(ev)
-                else:
-                    for i, o in enumerate(ot.tolist()):
-                        if o:
-                            tstreams[i].append(compute_event(o))
+                svals = sft.tolist()
+                for i, o in enumerate(ot.tolist()):
+                    sf = svals[i]
+                    if o or sf:
+                        tstreams[i].append(compute_event(o, sf))
             ot[:] = 0
-            self.ops_flag = self.sfu_flag = False
+            sft[:] = 0
+        elif tm is not None:
+            # Every tally came from one mask: each of its timed slots owes
+            # the same batch, so one interned event covers them all.
+            ev = compute_event(self._tops, self._tsfu)
+            for st in self._timed_streams(tm):
+                st.append(ev)
+            self._tops = self._tsfu = 0
+        self._tmask = None
         if self.pending:
             for addresses, itemsize, write, space, bounds in self.pending:
                 for tp, s, e in bounds:
                     tstreams[tp].append(
                         MemEvent(addresses[s:e], itemsize, write, space))
             self.pending = []
-        self._mcache.clear()
 
     def _discard_flush(self) -> None:
         """Flush inside a __device__ call: narrow execution *discards* the
@@ -993,7 +1058,8 @@ class TapeExecutor:
         if not self.ntimed:
             return
         ta = self._timed_act(self.discard_masks[-1])
-        if self.ops_flag or self.sfu_flag:
+        if self._tmask is not None:
+            self._spill()
             self.ops_t[ta] = 0
             self.sfu_t[ta] = 0
         if self.pending:
@@ -1017,10 +1083,13 @@ class TapeExecutor:
                 int(epochs[slot]))
 
     def _lane_rows(self, mask: np.ndarray) -> np.ndarray:
-        lanes = self._lanes(mask)
-        if lanes.size == self.nlanes:
-            return self._lane_tb
-        return self._lane_tb.take(lanes)
+        """Chunk-local TB of each active lane (shared-memory rows)."""
+        ent = self._ment(mask)
+        if ent.rows is None:
+            lanes = self._lanes(mask)
+            ent.rows = self._lane_tb if lanes.size == self.nlanes \
+                else self._lane_tb.take(lanes)
+        return ent.rows
 
     def _drop_finished(self, m: np.ndarray, passed: np.ndarray,
                        tested: np.ndarray | None = None) -> np.ndarray:
@@ -1028,8 +1097,11 @@ class TapeExecutor:
         all-false: the corresponding narrow warp breaks out of its loop and
         never evaluates the condition again, while the tape keeps iterating
         for the remaining slots."""
-        dead = self._block_any(tested if tested is not None else m) \
-            & ~self._block_any(passed)
+        if tested is None:
+            tested = m
+        if passed is tested:
+            return m
+        dead = self._block_any(tested) & ~self._block_any(passed)
         if dead.any():
             return m & ~np.repeat(dead, WARP_SIZE)
         return m
@@ -1042,7 +1114,7 @@ class TapeExecutor:
         frame = _LoopFrame(np.zeros(self.nlanes, bool),
                            np.zeros(self.nlanes, bool))
         self._run(0, len(self.uops), mask, frame)
-        if self.ops_flag or self.sfu_flag or self.pending:
+        if self._tmask is not None or self.pending:
             self._do_flush()
 
     def _run(self, lo: int, hi: int, mask: np.ndarray,
@@ -1108,8 +1180,14 @@ class TapeExecutor:
             elif op == OP_FLUSH:
                 self._flush_point()
             elif op == OP_CHK:
-                cur = cur & ~self.returned & ~frame.broke & ~frame.continued
-                if not cur.any():
+                # Keep ``cur`` itself unless a lane of it has left.
+                gone = cur & (self.returned | frame.broke | frame.continued)
+                if gone.any():
+                    cur = cur & ~gone
+                    if not cur.any():
+                        pc = u[1]
+                        continue
+                elif not self._any(cur):
                     pc = u[1]
                     continue
             elif op == OP_MATH1:
@@ -1147,17 +1225,9 @@ class TapeExecutor:
                 regs[u[1]] = TypedValue(old.values.copy(), old.ctype,
                                         old.space)
             elif op == OP_TSFU:
-                self._tally_sfu(cur, u[1])
+                self._tally(cur, u[1], True)
             elif op == OP_IF:
-                cv = regs[u[1]].values.astype(bool)
-                tm = cur & cv
-                if tm.any():
-                    self._run(u[2], u[3], tm, frame)
-                if u[4] >= 0:
-                    em = cur & ~cv & ~self.returned
-                    em &= ~frame.broke & ~frame.continued
-                    if em.any():
-                        self._run(u[4], u[5], em, frame)
+                self._if(u, pc, cur, frame)
                 pc = u[6]
                 continue
             elif op == OP_FOR:
@@ -1272,7 +1342,6 @@ class TapeExecutor:
             self._tally(cur, 1)
             self.regs[u[1]] = TypedValue(out, elem)
             return
-        active = addr[cur]
         lanes = self._lanes(cur)
         full = lanes.size == self.nlanes
         active = addr if full else addr.take(lanes)
@@ -1349,29 +1418,48 @@ class TapeExecutor:
     def _sync(self, cur) -> None:
         if self.epochs is not None:
             self.epochs[self._block_any(cur)] += 1
-        ta = None
+        streams = None
         if self.ntimed and not self.discard_masks:
-            ta = self._timed_act(cur)
+            streams = self._timed_streams(cur)
         self._flush_point()
-        if ta is not None:
-            tstreams = self.tstreams
-            for i in np.nonzero(ta)[0].tolist():
-                tstreams[i].append(SYNC_EVENT)
+        if streams is not None:
+            for st in streams:
+                st.append(SYNC_EVENT)
 
+    def _if(self, u, pc, cur, frame) -> None:
+        cv = self.regs[u[1]].values.astype(bool)
+        # Each partition reuses its mask from this uop's previous execution
+        # (or ``cur``) when equal, e.g. a bounds check inside a loop body.
+        prev_t, prev_e = self._if_masks.get(pc, (None, None))
+        tm = _keep(cur & cv, cur, prev_t)
+        if self._any(tm):
+            self._run(u[2], u[3], tm, frame)
+        em = None
+        if u[4] >= 0:
+            em = cur & ~cv & ~self.returned
+            em &= ~frame.broke & ~frame.continued
+            em = _keep(em, cur, prev_e)
+            if self._any(em):
+                self._run(u[4], u[5], em, frame)
+        self._if_masks[pc] = (tm, em)
+
+    # Loops keep last iteration's mask objects when the recomputed masks
+    # equal them, so their derived data is computed once per loop region.
     def _for(self, u, cur) -> None:
         _, c_lo, c_hi, c_reg, b_lo, b_hi, s_lo, s_hi, clean, _end = u
         regs = self.regs
         inner = _LoopFrame(np.zeros(self.nlanes, bool),
                            np.zeros(self.nlanes, bool))
         if clean:
-            base = cur & ~self.returned
-            if not base.any():
+            base = _keep(cur & ~self.returned, cur)
+            if not self._any(base):
                 return
+            alive = None
             while True:
                 self._run(c_lo, c_hi, base, inner)
                 cv = regs[c_reg].values.astype(bool)
-                alive = base & cv
-                if not alive.any():
+                alive = _keep(base & cv, base, alive)
+                if not self._any(alive):
                     break
                 # A narrow warp exits its loop after its first all-false
                 # test: drop those slots from further condition evaluation
@@ -1382,23 +1470,27 @@ class TapeExecutor:
                     self._run(s_lo, s_hi, alive, inner)
             return
         m = cur
+        alive = passed = step_mask = None
         while True:
-            alive = m & ~self.returned & ~inner.broke
-            if not alive.any():
+            alive = _keep(m & ~self.returned & ~inner.broke, m, alive)
+            if not self._any(alive):
                 break
+            body = alive
             if c_lo >= 0:
                 self._run(c_lo, c_hi, alive, inner)
-                passed = alive & regs[c_reg].values.astype(bool)
-                if not passed.any():
+                cv = regs[c_reg].values.astype(bool)
+                passed = _keep(alive & cv, alive, passed)
+                if not self._any(passed):
                     break
                 m = self._drop_finished(m, passed, alive)
-                alive = passed
+                body = passed
             inner.continued[:] = False
-            self._run(b_lo, b_hi, alive, inner)
-            step_mask = alive & ~self.returned & ~inner.broke
-            if s_lo >= 0 and step_mask.any():
+            self._run(b_lo, b_hi, body, inner)
+            step_mask = _keep(body & ~self.returned & ~inner.broke, body,
+                              step_mask)
+            if s_lo >= 0 and self._any(step_mask):
                 self._run(s_lo, s_hi, step_mask, inner)
-            if c_lo < 0 and not step_mask.any():
+            if c_lo < 0 and not self._any(step_mask):
                 break
 
     def _while(self, u, cur) -> None:
@@ -1408,27 +1500,30 @@ class TapeExecutor:
                            np.zeros(self.nlanes, bool))
         first = True
         m = cur
+        alive = passed = post = None
         while True:
-            alive = m & ~self.returned & ~inner.broke
-            if not alive.any():
+            alive = _keep(m & ~self.returned & ~inner.broke, m, alive)
+            if not self._any(alive):
                 break
+            body = alive
             if not (do_first and first):
                 self._run(c_lo, c_hi, alive, inner)
-                passed = alive & regs[c_reg].values.astype(bool)
-                if not passed.any():
+                cv = regs[c_reg].values.astype(bool)
+                passed = _keep(alive & cv, alive, passed)
+                if not self._any(passed):
                     break
                 m = self._drop_finished(m, passed, alive)
-                alive = passed
+                body = passed
             inner.continued[:] = False
-            self._run(b_lo, b_hi, alive, inner)
+            self._run(b_lo, b_hi, body, inner)
             if do_first:
-                post = alive & ~self.returned & ~inner.broke
-                if not post.any():
+                post = _keep(body & ~self.returned & ~inner.broke, body, post)
+                if not self._any(post):
                     break
                 self._run(c_lo, c_hi, post, inner)
                 cv = regs[c_reg].values.astype(bool)
-                m = post & cv
-                if not m.any():
+                m = _keep(post & cv, post, m)
+                if not self._any(m):
                     break
             first = False
 

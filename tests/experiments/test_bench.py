@@ -20,14 +20,16 @@ from repro.experiments.bench import (
 )
 
 
-def payload(sweep_s=40.0, interp=70_000, tape=300_000):
+def payload(sweep_s=40.0, interp=70_000, tape=300_000, work=81_247):
+    # ``work`` (the warp-instruction count) is the same on every machine and
+    # engine; the rates are what machine speed moves.
     return {
         "scale": "test",
         "jobs": 2,
         "engine_throughput": {
-            "interp": {"seconds": 1.0, "warp_instructions": interp,
+            "interp": {"seconds": 1.0, "warp_instructions": work,
                        "warp_instructions_per_sec": interp},
-            "tape": {"seconds": 1.0, "warp_instructions": tape,
+            "tape": {"seconds": 1.0, "warp_instructions": work,
                      "warp_instructions_per_sec": tape,
                      "speedup_vs_interp": round(tape / interp, 2)},
         },
@@ -81,6 +83,20 @@ def test_check_regression_flags_missing_engine_row(baseline_file):
     failures = check_regression(bad, baseline_file)
     assert len(failures) == 1
     assert "tape" in failures[0] and "missing" in failures[0]
+
+
+def test_check_regression_requires_identical_warp_instructions(
+        baseline_file):
+    """Deterministic work is gated exactly: a count off by one in one engine
+    row fails, however fast the run was; an equal count passes."""
+    bad = payload()
+    bad["engine_throughput"]["tape"]["warp_instructions"] += 1
+    failures = check_regression(bad, baseline_file)
+    assert len(failures) == 1
+    assert "tape warp instructions differ" in failures[0]
+    assert "81,248 vs 81,247" in failures[0]
+    assert check_regression(payload(interp=90_000, tape=400_000),
+                            baseline_file) == []
 
 
 def test_check_regression_custom_factor(baseline_file):

@@ -384,3 +384,33 @@ def test_unknown_function_raises():
     with pytest.raises(SimulationError):
         run1("__global__ void k(float *a) { a[0] = frobnicate(1.0f); }",
              "k", {"a": np.zeros(4, np.float32)})
+
+
+def _promote_memo_sizes():
+    import gc
+
+    from repro.frontend.ast_nodes import CType
+
+    return {id(o): (o, len(getattr(o, "_promote_memo", ())))
+            for o in gc.get_objects() if isinstance(o, CType)}
+
+
+def test_pointee_is_memoized_and_promotion_memo_stays_bounded():
+    """``CType.pointee()`` returns one instance per pointer type.  A fresh
+    CType per executed load would miss the dtype/promotion memos kept on
+    each instance and grow the other operand's id-keyed promotion memo by
+    one entry per load (1,024 in the launch below)."""
+    from repro.frontend.ast_nodes import CType
+    from repro.workloads.microbench import run_microbench
+
+    t = CType("float", 1)
+    assert t.pointee() is t.pointee()
+    assert t.pointee() == CType("float")
+
+    before = _promote_memo_sizes()
+    run_microbench(4, 1, iters=2, l1d_lines=64)
+    after = _promote_memo_sizes()
+    grown = [(str(o), n - before.get(k, (None, 0))[1])
+             for k, (o, n) in after.items()]
+    assert max(g for _, g in grown) <= 64, \
+        sorted(grown, key=lambda g: -g[1])[:3]

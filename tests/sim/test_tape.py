@@ -17,9 +17,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frontend import parse
 from repro.options import SimOptions, use_options
 from repro.runtime import Device
 from repro.sim.arch import TITAN_V_SIM
+from repro.sim.events import ComputeEvent, MemEvent
+from repro.sim.interp import KernelArgs, SharedBlock, WarpInterpreter
+from repro.sim.launch import resolve_args, shared_layout_of
+from repro.sim.tape import lower_kernel, record_tape_streams
+from repro.transform import force_throttle
 
 N = 128
 
@@ -178,3 +184,158 @@ def test_unlowerable_kernel_falls_back_to_interp():
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(out[:5], [1, 1, 2, 6, 24])
     assert sig == ref_sig
+
+
+# ---------------------------------------------------------------------------
+# Per-slot event streams under shrinking loop masks
+# ---------------------------------------------------------------------------
+# The tape keeps a loop's mask object across iterations (and an ``if``'s
+# partition across executions) only while the recomputed mask is equal, so
+# the cached per-mask data stays right.  These kernels shrink the active set
+# at a different iteration in each lane and each warp; every slot's event
+# stream must match the interpreter's warp, event by event.
+
+GRID, BLOCK = 2, 64
+
+
+def _canon(ev):
+    if isinstance(ev, ComputeEvent):
+        return ("C", ev.ops, ev.sfu_ops)
+    if isinstance(ev, MemEvent):
+        return ("M", ev.addresses.tolist(), ev.access_size, ev.write,
+                ev.space)
+    return ("S",)
+
+
+def _slot_streams(unit, x, engine, grid, block):
+    dev = Device(TITAN_V_SIM)
+    dx = dev.to_device(x)
+    dout = dev.zeros(N, np.int32)
+    kernel = unit.kernel("k")
+    args = KernelArgs(tuple(resolve_args(kernel, [dx.address,
+                                                  dout.address])))
+    layout = shared_layout_of(kernel)
+    warps = block // 32
+    if engine == "tape":
+        streams, _ = record_tape_streams(
+            lower_kernel(unit, "k"), dev.memory, layout, 1, args,
+            (grid, 1, 1), (block, 1, 1), warps, set(range(grid)))
+    else:
+        # No shared memory and no cross-warp data flow: each warp runs to
+        # completion in turn, passing its SYNC markers.
+        streams = [
+            [list(WarpInterpreter(unit, kernel, dev.memory, SharedBlock(1),
+                                  layout, args, (tb, 0, 0), (block, 1, 1),
+                                  (grid, 1, 1), w).run())
+             for w in range(warps)]
+            for tb in range(grid)
+        ]
+    return ([[[_canon(e) for e in warp] for warp in tb] for tb in streams],
+            dout.to_host())
+
+
+def _assert_slot_streams_match(src, x, grid=GRID, block=BLOCK, split=1):
+    unit = parse(src)
+    if split > 1:
+        unit = force_throttle(unit, "k", block, TITAN_V_SIM, split, 0,
+                              grid=grid)
+    ref, ref_out = _slot_streams(unit, x, "interp", grid, block)
+    got, out = _slot_streams(unit, x, "tape", grid, block)
+    np.testing.assert_array_equal(out, ref_out)
+    for tb in range(grid):
+        for w in range(block // 32):
+            assert got[tb][w] == ref[tb][w], \
+                f"TB {tb} warp {w}: tape event stream diverges from interp"
+
+
+def _random_x(seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 64, N).astype(np.int32)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_slot_streams_data_dependent_trip_count(seed):
+    """Per-lane and per-warp trip counts: the clean ``for`` mask shrinks at
+    a different iteration in every lane."""
+    src = f"""
+__global__ void k(int *x, int *out) {{
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int acc = 0;
+    for (int j = 0; j < (x[i] & 15) + (i / 32) * 3; j++) {{
+        acc += x[(i + j) % {N}];
+    }}
+    out[i] = acc;
+}}
+"""
+    _assert_slot_streams_match(src, _random_x(seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), cut=st.integers(20, 63))
+def test_slot_streams_guarded_break(seed, cut):
+    """``break`` inside an ``if`` inside a ``for`` with a per-lane trip
+    count: the general loop's alive, passed and step masks all shrink
+    mid-loop, by the test and by the break."""
+    src = f"""
+__global__ void k(int *x, int *out) {{
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int acc = 0;
+    for (int j = 0; j < 6 + (x[(i + 1) % {N}] & 7); j++) {{
+        int v = x[(i * 5 + j) % {N}];
+        if (v > {cut}) {{
+            acc += 1000;
+            break;
+        }}
+        if (j < (i & 7)) {{
+            acc += v;
+        }}
+    }}
+    out[i] = acc;
+}}
+"""
+    _assert_slot_streams_match(src, _random_x(seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), modulo=st.integers(2, 13))
+def test_slot_streams_while_and_do_while(seed, modulo):
+    """Top- and bottom-tested loops with per-lane trip counts; each warp
+    leaves at a different iteration."""
+    src = f"""
+__global__ void k(int *x, int *out) {{
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int j = x[i] % {modulo} + (i / 32) * 2;
+    int acc = 0;
+    while (j > 0) {{
+        acc += x[(i + j) % {N}];
+        j = j - 1;
+    }}
+    int t = x[(i + 7) % {N}] % {modulo} + (i / 32) * 3;
+    do {{
+        acc += t * t + 1;
+        t = t - 1;
+    }} while (t > 0);
+    out[i] = acc;
+}}
+"""
+    _assert_slot_streams_match(src, _random_x(seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_slot_streams_warp_split(seed):
+    """A warp-split (N=4) kernel: each warp group runs the loop under its
+    own mask between ``__syncthreads()``, with per-lane trip counts."""
+    src = f"""
+__global__ void k(int *x, int *out) {{
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int acc = 0;
+    for (int j = 0; j < (x[i] & 7) + 4; j++) {{
+        acc += x[(i * 3 + j) % {N}];
+    }}
+    out[i] = acc;
+}}
+"""
+    _assert_slot_streams_match(src, _random_x(seed), grid=1, block=128,
+                               split=4)
