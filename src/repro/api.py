@@ -1,9 +1,9 @@
 """``repro.api`` — the unified :class:`Session` facade.
 
 One object that ties the whole pipeline together: a resolved
-:class:`~repro.options.SimOptions` (the *only* place the deprecated
-environment variables are consulted — exactly once, at construction), a
-simulated :class:`~repro.runtime.device.Device`, and the observability layer
+:class:`~repro.options.SimOptions` (the ``REPRO_SIM_SANITIZE`` switch is
+read exactly once, at construction), a simulated
+:class:`~repro.runtime.device.Device`, and the observability layer
 (:mod:`repro.obs`).  Every Session method runs with the session's options
 active, so engine/cache selection is deterministic and explicit
 instead of ambient process state.
@@ -21,14 +21,7 @@ Quickstart::
 
 Sessions are context managers: ``close()`` (or leaving the ``with`` block)
 flushes the result cache and releases the session; a closed session refuses
-further pipeline work.  The same operations are also available as typed
-requests (:mod:`repro.service.protocol`) via :meth:`Session.request` — the
-exact API :class:`repro.service.ServiceClient` speaks to a remote ``catt
-serve`` process, so swapping local for remote execution is a one-line
-change.
-
-Results are bit-identical to the legacy env-var path — the Session only
-changes *how the knobs are carried*, never what the simulator does.
+further pipeline work.
 """
 
 from __future__ import annotations
@@ -71,8 +64,8 @@ class Session:
             self.spec = spec
             self.spec_name = next(
                 (k for k, v in SPEC_NAMES.items() if v is spec), "custom")
-        # The one and only environment read: at construction, through the
-        # deprecation shim.  An explicit ``options`` skips the env entirely.
+        # The one and only environment read: at construction.  An explicit
+        # ``options`` skips the env entirely.
         self.options = options if options is not None else SimOptions.from_env()
         self.device = Device(self.spec)
         self._result_cache = None
@@ -172,58 +165,18 @@ class Session:
         if self._result_cache is None:
             from .experiments.common import ResultCache
 
-            self._result_cache = ResultCache(self.options.cache_path())
+            self._result_cache = ResultCache(self.options.cache_dir)
         return self._result_cache
 
     def run_app(self, app: str, scheme: str, scale: str = "bench",
-                verify: bool = False, on_error: str = "degrade",
-                spec: str | None = None):
-        """One (app, scheme) simulation cell via the experiment harness.
-
-        ``spec`` overrides the session's spec *name* for this cell (the
-        harness resolves it independently), which is what lets one service
-        session serve requests against any spec.
-        """
+                verify: bool = False, on_error: str = "degrade"):
+        """One (app, scheme) simulation cell via the experiment harness."""
         from .experiments.common import run_app
 
         with self._scope():
-            return run_app(app, scheme, spec or self.spec_name, scale,
+            return run_app(app, scheme, self.spec_name, scale,
                            cache=self._cache(), verify=verify,
                            on_error=on_error)
-
-    def request(self, req):
-        """Execute one typed protocol request in-process.
-
-        Accepts the :mod:`repro.service.protocol` compute requests
-        (:class:`~repro.service.protocol.CompileRequest`,
-        :class:`~repro.service.protocol.AnalyzeRequest`,
-        :class:`~repro.service.protocol.CattRequest`,
-        :class:`~repro.service.protocol.RunAppRequest`) and returns the
-        matching typed Response — the same objects a
-        :class:`~repro.service.client.ServiceClient` returns for the same
-        request, so local and remote execution swap freely.
-        """
-        from .service.handlers import execute_request
-
-        return execute_request(self, req)
-
-    def sweep(self, cells=None, scale: str = "bench", policy=None,
-              resume: bool = False):
-        """Populate this session's cache with simulation cells.
-
-        ``cells=None`` sweeps everything ``catt all`` consumes; jobs come
-        from the session options.  ``policy`` is a
-        :class:`~repro.experiments.sweep.SweepPolicy` (deadlines/retries);
-        ``resume=True`` replays the write-ahead journal of an interrupted
-        sweep and recomputes only what is missing.
-        """
-        from .experiments.sweep import all_cells, run_sweep
-
-        with self._scope():
-            return run_sweep(cells if cells is not None else all_cells(scale),
-                             jobs=self.options.jobs, cache=self._cache(),
-                             options=self.options, policy=policy,
-                             resume=resume)
 
     # -- observability ------------------------------------------------------
     def spans(self):

@@ -587,12 +587,11 @@ class WarpInterpreter:
     def _exec_while(self, stmt: WhileStmt | DoWhileStmt, mask: np.ndarray,
                     frame: _LoopFrame, do_first: bool) -> Iterator[Event]:
         inner = _LoopFrame(np.zeros(WARP_SIZE, bool), np.zeros(WARP_SIZE, bool))
-        first = True
         while True:
             alive = mask & ~self.returned & ~inner.broke
             if not alive.any():
                 break
-            if not (do_first and first):
+            if not do_first:
                 cond = self._truthy(self._eval(stmt.cond, alive))
                 self.ops += 1
                 yield from self._flush()
@@ -612,7 +611,6 @@ class WarpInterpreter:
                 if not (post & cond).any():
                     break
                 mask = post & cond
-            first = False
 
     # ------------------------------------------------------------------
     # Expressions

@@ -21,9 +21,8 @@ from ..frontend.ast_nodes import CType, DeclStmt, FunctionDef, TranslationUnit, 
 from ..obs.metrics_registry import registry as _metrics_registry
 from ..obs.trace import span as _span
 # Engine selection resolves through SimOptions (repro.options): explicitly
-# activated options win (the Session / CLI path); otherwise the deprecated
-# REPRO_SIM_ENGINE environment variable is shimmed through with a
-# DeprecationWarning.
+# activated options win (the Session / CLI path), else the defaults plus
+# the REPRO_SIM_SANITIZE switch.
 from ..options import current_options
 from .arch import GPUSpec, SMConfig
 from .cache import CacheStats

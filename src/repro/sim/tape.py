@@ -1498,7 +1498,6 @@ class TapeExecutor:
         regs = self.regs
         inner = _LoopFrame(np.zeros(self.nlanes, bool),
                            np.zeros(self.nlanes, bool))
-        first = True
         m = cur
         alive = passed = post = None
         while True:
@@ -1506,7 +1505,7 @@ class TapeExecutor:
             if not self._any(alive):
                 break
             body = alive
-            if not (do_first and first):
+            if not do_first:
                 self._run(c_lo, c_hi, alive, inner)
                 cv = regs[c_reg].values.astype(bool)
                 passed = _keep(alive & cv, alive, passed)
@@ -1525,7 +1524,6 @@ class TapeExecutor:
                 m = _keep(post & cv, post, m)
                 if not self._any(m):
                     break
-            first = False
 
     def _ternary(self, u, cur, frame) -> None:
         regs = self.regs

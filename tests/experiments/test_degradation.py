@@ -1,9 +1,6 @@
-"""Experiment-harness robustness: atomic cache writes, corrupt-cache
-recovery, and figure sweeps that keep going past degraded cells."""
-
-import json
-
-import pytest
+"""Experiment-harness robustness: atomic store writes, memory-only degraded
+cells, and figure sweeps that keep going past degraded cells.  Corrupt-shard
+recovery is covered in ``test_store.py``."""
 
 from repro.experiments.common import AppResult, ResultCache, run_app
 from repro.experiments.fig7 import build_fig7
@@ -21,58 +18,18 @@ def _result(app="GSMV", scheme="baseline", cycles=100):
 
 
 def test_cache_write_is_atomic_no_stragglers(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "store")
     for i in range(5):
         cache.put(f"k{i}", _result(cycles=i + 1))
-    # Every put replaced the file whole; no temp files survive.
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-    reloaded = ResultCache(tmp_path / "cache.json")
+    # Every put replaced its shard whole; no temp files survive.
+    assert not [p.name for p in (tmp_path / "store").iterdir()
+                if ".tmp" in p.name]
+    reloaded = ResultCache(tmp_path / "store")
     assert reloaded.get("k4").total_cycles == 5
 
 
-def test_corrupt_cache_archived_and_recovered(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text('{"results": {"k": {"app": truncated')
-    with pytest.warns(RuntimeWarning, match="corrupt"):
-        cache = ResultCache(path)
-    # Fresh start: the bad file is preserved for forensics, not deleted.
-    assert cache.get("k") is None
-    assert (tmp_path / "cache.json.corrupt").exists()
-    assert not path.exists()
-    # The cache is fully usable afterwards.
-    cache.put("k", _result())
-    assert ResultCache(path).get("k").total_cycles == 100
-
-
-def test_repeated_corruption_archives_monotonically(tmp_path):
-    """A second (and third) corrupt cache must never overwrite the archived
-    evidence of the first: suffixes count up (.corrupt, .corrupt.1, ...)."""
-    path = tmp_path / "cache.json"
-    for expected in ("cache.json.corrupt", "cache.json.corrupt.1",
-                     "cache.json.corrupt.2"):
-        path.write_text(f'{{"broken": {expected}')   # unique corrupt bytes
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            ResultCache(path)
-        assert (tmp_path / expected).exists()
-    # All three pieces of evidence survived, each with its own content.
-    archives = sorted(p.name for p in tmp_path.glob("cache.json.corrupt*"))
-    assert archives == ["cache.json.corrupt", "cache.json.corrupt.1",
-                        "cache.json.corrupt.2"]
-    contents = {(tmp_path / a).read_text() for a in archives}
-    assert len(contents) == 3
-
-
-def test_wrong_shape_cache_also_archived(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(
-        {"version": ResultCache.VERSION, "results": [1, 2, 3]}))  # not a dict
-    with pytest.warns(RuntimeWarning):
-        cache = ResultCache(path)
-    assert cache.get("anything") is None
-
-
 def test_put_transient_is_memory_only(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "store"
     cache = ResultCache(path)
     cache.put_transient("temp", _result())
     assert cache.get("temp") is not None
@@ -86,9 +43,9 @@ def test_degraded_result_round_trips_diagnostics(tmp_path):
     res = AppResult(app="A", scheme="catt", spec="max", scale="test",
                     total_cycles=0, kernels={}, diagnostics=[diag],
                     degraded=True)
-    cache = ResultCache(tmp_path / "c.json")
+    cache = ResultCache(tmp_path / "store")
     cache.put("k", res)
-    back = ResultCache(tmp_path / "c.json").get("k")
+    back = ResultCache(tmp_path / "store").get("k")
     assert back.degraded and back.diagnostics == [diag]
 
 
@@ -98,7 +55,7 @@ def test_degraded_result_round_trips_diagnostics(tmp_path):
 
 
 def test_fig7_completes_with_degraded_cells(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "store")
     # Kill only the CATT cell: its compile still works under a transform
     # fault (resilient), so break the sim boundary for one scheme by
     # pre-running the others clean.
@@ -114,7 +71,7 @@ def test_fig7_completes_with_degraded_cells(tmp_path):
 
 
 def test_fig7_completes_with_dead_baseline(tmp_path):
-    cache = ResultCache(tmp_path / "cache.json")
+    cache = ResultCache(tmp_path / "store")
     with inject_faults(FaultSpec(stage="sim")):
         for scheme in ("baseline", "bftt", "catt"):
             run_app("GSMV", scheme, "max", "test", cache)

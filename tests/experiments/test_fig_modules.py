@@ -20,7 +20,7 @@ from repro.options import SimOptions, use_options
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "r.json")
+    return ResultCache(tmp_path / "store")
 
 
 def test_fig3_tiny():

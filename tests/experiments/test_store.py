@@ -202,12 +202,6 @@ def test_result_cache_sharded_backend(tmp_path):
     got = fresh.get(key)
     assert got is not None and got.total_cycles == 123
     assert fresh.wal_path() == tmp_path / "store" / "sweep.wal"
-    # Legacy .json path still selects the single-file backend.
-    legacy = ResultCache(tmp_path / "legacy.json")
-    legacy.put(key, result)
-    assert (tmp_path / "legacy.json").exists()
-    assert ResultCache(tmp_path / "legacy.json").get(key).total_cycles == 123
-    assert legacy.wal_path() == tmp_path / "legacy.json.wal"
     assert ResultCache("").wal_path() is None
 
 

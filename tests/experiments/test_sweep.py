@@ -79,12 +79,12 @@ def test_degraded_cell_stays_transient(monkeypatch, tmp_path):
                          kernels={}, degraded=True)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", fake_run_cell)
-    cache = ResultCache(tmp_path / "results.json")
+    cache = ResultCache(tmp_path / "store")
     report = run_sweep([cell], jobs=1, cache=cache)
     assert report.degraded == 1
     # In-memory memo holds it, but nothing reached disk.
     assert cache.get(ResultCache.key(*cell)).degraded
-    assert not (tmp_path / "results.json").exists()
+    assert not list((tmp_path / "store").glob("shard-??.json"))
 
 
 def test_runner_engine_flag_activates_options(monkeypatch, capsys):
@@ -93,7 +93,7 @@ def test_runner_engine_flag_activates_options(monkeypatch, capsys):
     from repro import options as options_mod
     from repro.experiments import runner as runner_mod
 
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    env_before = dict(os.environ)
     seen = {}
 
     def spy_table2():
@@ -103,7 +103,7 @@ def test_runner_engine_flag_activates_options(monkeypatch, capsys):
     monkeypatch.setattr(runner_mod, "_print_table2", spy_table2)
     assert main(["table2", "--engine", "interp"]) == 0
     assert seen["options"].engine == "interp"
-    assert os.environ.get("REPRO_SIM_ENGINE") is None  # env untouched
+    assert dict(os.environ) == env_before              # env untouched
     assert options_mod.active_options() is None        # scope restored
     capsys.readouterr()
 
@@ -125,23 +125,24 @@ def test_result_cache_key_sms_suffix():
 
 
 def test_sweep_sms_cells_deterministic_across_jobs(tmp_path):
-    """An sms=2 sweep must produce byte-identical cached results whether run
+    """An sms=2 sweep must produce byte-identical stores whether run
     in-process or through the worker pool (the CI determinism smoke, small)."""
     import json
 
     from repro.options import SimOptions
 
     cell = ("ATAX", "baseline", "max", "test")
-    payloads = {}
+    digests = {}
     for jobs in (1, 2):
-        path = tmp_path / f"cache_jobs{jobs}.json"
-        run_sweep([cell], jobs=jobs, cache=ResultCache(path),
+        cache = ResultCache(tmp_path / f"store_jobs{jobs}")
+        run_sweep([cell], jobs=jobs, cache=cache,
                   options=SimOptions(sms=2, jobs=jobs))
-        payloads[jobs] = json.loads(path.read_text())
-    assert payloads[1] == payloads[2]
-    (key,) = payloads[1]["results"].keys()
+        digests[jobs] = cache.digest()
+    assert digests[1] == digests[2] != ""
+    (key,) = [k for p in (tmp_path / "store_jobs1").glob("shard-??.json")
+              for k in json.loads(p.read_text())["records"]]
     assert key.endswith("|sms2")
-    cached = ResultCache(tmp_path / "cache_jobs1.json").get(key)
+    cached = ResultCache(tmp_path / "store_jobs1").get(key)
     assert cached.sms == 2
     # Kernel rows carry the shared-L2 hit rate alongside the L1 one.
     for stats in cached.kernels.values():

@@ -151,6 +151,33 @@ def test_while_and_do_while():
     np.testing.assert_array_equal(out["a"], ref)
 
 
+def test_do_while_tests_its_condition_once_per_trip():
+    """``do { acc += 1; } while (++n < 3);`` runs three trips in C, testing
+    the side-effecting condition only after each body: acc == n == 3, with
+    the same instruction count on both engines."""
+    from repro.options import SimOptions, use_options
+
+    src = """__global__ void k(int *a, int *b) {
+        int i = threadIdx.x;
+        int acc = 0;
+        int n = 0;
+        do { acc += 1; } while (++n < 3);
+        a[i] = acc;
+        b[i] = n;
+    }"""
+    instructions = {}
+    for engine in ("interp", "tape"):
+        with use_options(SimOptions(engine=engine)):
+            dev = Device(TITAN_V_SIM)
+            a, b = dev.zeros(32, np.int32), dev.zeros(32, np.int32)
+            res = dev.launch(src, "k", 1, 32, [a, b])
+        assert res.engine == engine
+        np.testing.assert_array_equal(a.to_host(), 3)
+        np.testing.assert_array_equal(b.to_host(), 3)
+        instructions[engine] = res.metrics.instructions
+    assert instructions["interp"] == instructions["tape"]
+
+
 def test_ternary_and_short_circuit():
     out = run1(
         """__global__ void k(int *a, int *b) {

@@ -135,6 +135,28 @@ __global__ void k(int *x, int *out) {{
     _assert_tape_matches_interp(src, x)
 
 
+def test_do_while_side_effecting_condition():
+    """A condition with a side effect runs once per trip, after the body:
+    per-thread trips ``1 + x[i] % 5`` leave acc == n == that trip count,
+    and both engines agree on every metric, instructions included."""
+    x = np.arange(N, dtype=np.int32)
+    src = """
+__global__ void k(int *x, int *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int lim = 1 + x[i] % 5;
+    int acc = 0;
+    int n = 0;
+    do {
+        acc += 1;
+    } while (++n < lim);
+    out[i] = acc * 100 + n;
+}
+"""
+    _assert_tape_matches_interp(src, x)
+    trips = 1 + x % 5
+    np.testing.assert_array_equal(_run(src, x, "tape")[0], trips * 100 + trips)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     cut=st.integers(-30, 30),

@@ -1,17 +1,14 @@
-"""Session facade tests: option resolution, env deprecation shim,
-bit-identical results vs the legacy env path, and observability wiring."""
+"""Session facade tests: option resolution, the ``REPRO_SIM_SANITIZE``
+switch, the result-cache lifecycle, and observability wiring."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import Session, SimOptions
 from repro.options import (
-    CACHE_ENV,
-    ENGINE_ENV,
+    SANITIZE_ENV,
     active_options,
     current_options,
     use_options,
@@ -25,13 +22,6 @@ __global__ void scale(float* x, float* y, int n) {
 """
 
 
-def _fresh_warnings(monkeypatch):
-    """Make the once-per-process deprecation warnings observable again."""
-    from repro import options as options_mod
-
-    monkeypatch.setattr(options_mod, "_warned", set())
-
-
 # -- SimOptions ------------------------------------------------------------
 
 
@@ -42,50 +32,28 @@ def test_simoptions_validation():
         SimOptions(jobs=0)
 
 
-def test_simoptions_cache_path_semantics(tmp_path):
-    assert SimOptions().cache_path() is None
-    assert SimOptions(cache_dir="").cache_path() == ""
-    # A .json path selects the legacy single-file cache...
-    assert SimOptions(cache_dir=str(tmp_path / "r.json")).cache_path() == \
-        str(tmp_path / "r.json")
-    # ...while any other path is the root of the sharded store, verbatim.
-    assert SimOptions(cache_dir=str(tmp_path)).cache_path() == str(tmp_path)
+def test_json_cache_path_is_rejected(tmp_path):
+    """A ``*.json`` cache path names the retired single-file cache: it
+    raises instead of quietly creating a store directory of that name."""
+    from repro.experiments.common import ResultCache
 
-
-def test_env_resolution_with_deprecation_warning(monkeypatch):
-    _fresh_warnings(monkeypatch)
-    monkeypatch.setenv(ENGINE_ENV, "interp")
-    monkeypatch.setenv(CACHE_ENV, "")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        opts = SimOptions.from_env()
-    assert (opts.engine, opts.cache_dir) == ("interp", "")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 2
-    assert any(ENGINE_ENV in str(w.message) for w in deprecations)
-
-
-def test_env_deprecation_warns_once_per_var(monkeypatch):
-    _fresh_warnings(monkeypatch)
-    monkeypatch.setenv(CACHE_ENV, "")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SimOptions.from_env()
-        SimOptions.from_env()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
+    path = tmp_path / "results.json"
+    with pytest.raises(ValueError, match="sharded store"):
+        ResultCache(path)
+    with pytest.raises(ValueError, match="sharded store"):
+        Session("max", SimOptions(cache_dir=str(path))).run_app(
+            "ATAX", "baseline", scale="test")
+    assert not path.exists()
 
 
 def test_current_options_prefers_active_over_env(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "interp")
-    explicit = SimOptions(engine="tape")
+    monkeypatch.setenv(SANITIZE_ENV, "1")
+    explicit = SimOptions()
     with use_options(explicit):
         assert current_options() is explicit
-    assert current_options().engine == "interp"
-    monkeypatch.setenv(ENGINE_ENV, "tape")
-    assert current_options().engine == "tape"   # memo keyed on raw env
+    assert current_options().sanitize
+    monkeypatch.setenv(SANITIZE_ENV, "0")
+    assert not current_options().sanitize   # memo keyed on raw env
     assert active_options() is None
 
 
@@ -93,12 +61,12 @@ def test_current_options_prefers_active_over_env(monkeypatch):
 
 
 def test_session_resolves_env_once_at_construction(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "interp")
+    monkeypatch.setenv(SANITIZE_ENV, "1")
     sess = Session("max")
-    assert sess.options.engine == "interp"
+    assert sess.options.sanitize
     # Later env changes do not affect an existing session.
-    monkeypatch.setenv(ENGINE_ENV, "tape")
-    assert sess.options.engine == "interp"
+    monkeypatch.setenv(SANITIZE_ENV, "0")
+    assert sess.options.sanitize
 
 
 def test_session_rejects_unknown_spec():
@@ -114,37 +82,6 @@ def test_session_end_to_end_launch():
     res = sess.launch(unit, "scale", 1, 8, [x, y, 8])
     np.testing.assert_allclose(y.to_host(), 2.0 * np.arange(8))
     assert res.metrics.cycles > 0
-
-
-def test_session_matches_env_path_bit_identical(monkeypatch):
-    """The redesign contract: Session(engine=interp) reproduces the legacy
-    REPRO_SIM_* env run exactly."""
-    from repro.runtime import Device
-    from repro.sim.arch import TITAN_V_SIM
-
-    def run_legacy():
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        dev = Device(TITAN_V_SIM)
-        unit = dev.compile(SRC)
-        x = dev.to_device(np.arange(64, dtype=np.float32))
-        y = dev.zeros(64, np.float32)
-        res = dev.launch(unit, "scale", 2, 32, [x, y, 64])
-        monkeypatch.delenv(ENGINE_ENV)
-        return res, y.to_host().copy()
-
-    def run_session():
-        sess = Session("max", SimOptions(engine="interp"))
-        unit = sess.compile(SRC)
-        x = sess.to_device(np.arange(64, dtype=np.float32))
-        y = sess.zeros(64)
-        res = sess.launch(unit, "scale", 2, 32, [x, y, 64])
-        return res, y.to_host().copy()
-
-    legacy_res, legacy_y = run_legacy()
-    sess_res, sess_y = run_session()
-    assert legacy_res.metrics.cycles == sess_res.metrics.cycles
-    assert legacy_res.metrics.instructions == sess_res.metrics.instructions
-    np.testing.assert_array_equal(legacy_y, sess_y)
 
 
 def test_session_scope_restores_ambient_state():
@@ -249,39 +186,9 @@ def test_cache_key_signature_matches_legacy_sms_suffix():
         == ResultCache.key(*cell, sms=4)
 
 
-# -- typed requests through the Session --------------------------------------
-
-
-def test_session_request_matches_direct_calls():
-    from repro.service.protocol import CompileRequest, RunAppRequest
-
-    sess = Session("max", SimOptions(cache_dir=""))
-    comp = sess.request(CompileRequest(SRC))
-    assert comp.kernels == ("scale",)
-
-    resp = sess.request(RunAppRequest("ATAX", "baseline", scale="test"))
-    direct = sess.run_app("ATAX", "baseline", scale="test")
-    assert resp.result["total_cycles"] == direct.total_cycles
-    assert resp.key == "ATAX|baseline|max|test"
-
-
-def test_session_request_rejects_control_requests():
-    from repro.service.protocol import PingRequest, ServiceError
-
-    sess = Session("max", SimOptions(cache_dir=""))
-    with pytest.raises(ServiceError) as exc:
-        sess.request(PingRequest())
-    assert exc.value.code == "unsupported"
-
-
 def test_package_exports_session_api():
     import repro
 
     assert repro.Session is Session
     assert repro.SimOptions is SimOptions
     assert "Session" in repro.__all__
-    # The service surface is part of the public, explicit API.
-    for name in ("ServiceClient", "ServiceError", "CompileRequest",
-                 "RunAppRequest", "RunAppResponse"):
-        assert name in repro.__all__
-        assert hasattr(repro, name)
