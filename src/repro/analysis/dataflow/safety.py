@@ -11,7 +11,11 @@ halves:
 
 * **Semantic legality** (:func:`verify_warp_split`) — per split loop, using
   the affine forms of :class:`~repro.analysis.dataflow.affineprop.AffineFlow`
-  plus value-range reasoning over thread/block/iterator symbols:
+  plus value-range reasoning over thread/block/iterator symbols.  It is the
+  conjunction of an *independence* half (:func:`warp_split_independent`,
+  checks 1, 3 and 4: the groups share no memory inside the loop) and a
+  *convergence* half (:func:`warp_split_convergent`, check 2: the inserted
+  barrier is legal CUDA):
 
   1. the loop contains no ``__syncthreads()``;
   2. every enclosing ``if`` guard is TB-uniform, or provably true for every
@@ -20,6 +24,10 @@ halves:
      thread touches is disjoint from every other thread's interval
      (``|C_tid|`` exceeds the per-thread span over all enclosed iterations);
   4. the loop writes no ``__shared__`` array.
+
+  :func:`warp_split_union_safe` adds to the independence half the rules a
+  lockstep functional pass needs to run every group's loop copy at once
+  (the tape engine's union pass, :mod:`repro.sim.tape`).
 
 * **Structural translation validation** (:func:`split_shape_matches`) — the
   emitted kernel must be the original with each split loop replaced by the
@@ -52,6 +60,7 @@ from ...frontend.ast_nodes import (
     Assign,
     BinOp,
     Block,
+    Call,
     DeclStmt,
     DoWhileStmt,
     Expr,
@@ -61,13 +70,18 @@ from ...frontend.ast_nodes import (
     Ident,
     IfStmt,
     IntLit,
+    PostIncDec,
+    ReturnStmt,
     Stmt,
     SyncthreadsStmt,
+    UnaryOp,
     WhileStmt,
+    expressions_in,
     path_to_stmt,
     statements_in,
     walk_expr,
 )
+from ...sim.interp import _BINARY_MATH, _UNARY_MATH
 from ..affine import (
     BIDX,
     BIDY,
@@ -274,8 +288,6 @@ def _guard_env(flow, cond: Expr,
 
 def _shared_writes_in(stmt: Stmt, shared: set[str]) -> list[str]:
     out = []
-    from ...frontend.ast_nodes import expressions_in
-
     for e in expressions_in(stmt):
         if isinstance(e, Assign) and isinstance(e.target, ArrayRef):
             base = e.target.base
@@ -336,12 +348,16 @@ def _thread_exclusive(accesses, trips: dict[str, int]) -> str | None:
     return None
 
 
-def verify_warp_split(analysis, la) -> SafetyVerdict:
-    """Prove that splitting loop ``la`` into warp groups preserves semantics.
+def _barrier_reasons(rec) -> list[str]:
+    """Check 1: no barrier inside the region being serialized."""
+    if rec.contains_sync:
+        return ["loop contains __syncthreads()"]
+    return []
 
-    ``analysis`` is a :class:`~repro.analysis.kernel_info.KernelAnalysis`;
-    ``la`` one of its :class:`LoopAnalysis` entries.
-    """
+
+def _convergence_reasons(analysis, la) -> list[str]:
+    """Check 2: every enclosing guard is warp-convergent for the barrier the
+    split inserts after each group — TB-uniform, or provably always true."""
     rec = la.record
     kernel = analysis.kernel
     kl = analysis.kernel_loops
@@ -350,13 +366,6 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
     grid_dim = getattr(flow, "grid_dim", None) if flow is not None else None
     trips = _iterator_trips(kl)
     reasons: list[str] = []
-
-    # 1. No barrier inside the region being serialized.
-    if rec.contains_sync:
-        reasons.append("loop contains __syncthreads()")
-
-    # 2. Enclosing guards must be warp-convergent for the barrier the split
-    #    inserts after each group: TB-uniform, or provably always true.
     path = path_to_stmt(kernel.body, rec.stmt)
     if path is None:
         reasons.append("loop statement not found in the kernel body")
@@ -377,7 +386,16 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
             continue
         reasons.append("enclosing guard is thread-dependent and not "
                        "provably true for the launch")
+    return reasons
 
+
+def _private_memory_reasons(analysis, la) -> list[str]:
+    """Checks 3 and 4: no two threads of a TB share an element the loop
+    writes, through global or ``__shared__`` memory."""
+    rec = la.record
+    kl = analysis.kernel_loops
+    trips = _iterator_trips(kl)
+    reasons: list[str] = []
     # Checks 3 and 4 guard against intra-TB cross-thread communication
     # through memory; a PROVED-SAFE race verdict on every barrier interval
     # of an array is a stronger proof of the same property (warp splitting
@@ -402,7 +420,109 @@ def verify_warp_split(analysis, la) -> SafetyVerdict:
         if name in safe_shared:
             continue
         reasons.append(f"loop writes __shared__ array {name!r}")
+    return reasons
 
+
+def warp_split_independent(analysis, la) -> SafetyVerdict:
+    """The independence half of the split proof (checks 1, 3 and 4): the
+    warp groups carry no cross-warp communication inside the loop, so the
+    order in which they run it cannot change what the kernel computes.
+
+    This is all a lockstep functional pass needs to run the groups' loop
+    copies at once (:mod:`repro.sim.tape`); whether the inserted barrier is
+    legal CUDA is the separate convergence half."""
+    reasons = _barrier_reasons(la.record)
+    reasons += _private_memory_reasons(analysis, la)
+    return SafetyVerdict(not reasons, tuple(reasons))
+
+
+def warp_split_convergent(analysis, la) -> SafetyVerdict:
+    """The convergence half of the split proof (check 2): the
+    ``__syncthreads()`` the split inserts after each group is reached by
+    every thread of the TB."""
+    reasons = _convergence_reasons(analysis, la)
+    return SafetyVerdict(not reasons, tuple(reasons))
+
+
+def _union_reasons(analysis, la) -> list[str]:
+    """What keeps a lockstep pass from running every group's loop copy at
+    once even when the groups are independent.
+
+    The independence half sees only subscripted accesses (loops.py records
+    ``a[i]`` reads and ``a[i] op= v`` stores), so a store it cannot see —
+    ``a[i]++``, ``*p = v``, a store through a pointer alias or into
+    ``__shared__`` memory — or a ``*p`` read escapes it.  A return changes
+    the masks of the later groups' guards, and an atomic or ``__device__``
+    call touches memory the proof does not model.
+    """
+    kernel = analysis.kernel
+    params = {p.name for p in kernel.params}
+    private: set[str] = set()  # per-thread local arrays
+    shared: set[str] = set()
+    for st in statements_in(kernel.body):
+        if isinstance(st, DeclStmt):
+            (shared if st.is_shared else private).update(
+                d.name for d in st.declarators if d.array_sizes)
+    private -= params
+    stored = params | private  # what a store may index
+    visible = stored | shared  # what a read may index
+    reasons: list[str] = []
+    for st in statements_in(la.record.stmt):
+        if isinstance(st, ReturnStmt):
+            reasons.append("loop returns")
+        elif isinstance(st, DeclStmt) and (
+                st.is_shared or any(d.array_sizes for d in st.declarators)):
+            reasons.append("loop declares an array")
+    for e in expressions_in(la.record.stmt):
+        if isinstance(e, Call) and e.func not in _UNARY_MATH \
+                and e.func not in _BINARY_MATH:
+            reasons.append(f"loop calls {e.func}()")
+        elif isinstance(e, UnaryOp) and e.op == "*":
+            reasons.append("loop dereferences a pointer")
+        elif isinstance(e, ArrayRef):
+            root = e.base
+            while isinstance(root, ArrayRef):
+                root = root.base
+            if not (isinstance(root, Ident) and root.name in visible):
+                reasons.append("loop indexes memory through a pointer "
+                               "expression or alias")
+        elif isinstance(e, (PostIncDec, UnaryOp)) and e.op in ("++", "--") \
+                and not isinstance(e.operand, Ident):
+            reasons.append(f"loop applies {e.op} to a memory element")
+        elif isinstance(e, Assign) and not isinstance(e.target, Ident):
+            root = e.target
+            while isinstance(root, ArrayRef):
+                root = root.base
+            if root is e.target or not isinstance(root, Ident) \
+                    or root.name not in stored:
+                reasons.append("loop stores outside a pointer parameter or "
+                               "a local array")
+    return reasons
+
+
+def warp_split_union_safe(analysis, la) -> SafetyVerdict:
+    """Whether a lockstep functional pass may run all warp groups' copies of
+    loop ``la`` at once, under the union of their masks, and get the memory
+    and per-slot events of running them one group at a time: the
+    independence half plus :func:`_union_reasons`.  The tape engine takes
+    this verdict from the split's guard tags (:mod:`repro.sim.tape`)."""
+    reasons = _barrier_reasons(la.record)
+    reasons += _private_memory_reasons(analysis, la)
+    reasons += _union_reasons(analysis, la)
+    return SafetyVerdict(not reasons, tuple(reasons))
+
+
+def verify_warp_split(analysis, la) -> SafetyVerdict:
+    """Prove that splitting loop ``la`` into warp groups preserves semantics:
+    both the independence and the convergence half.
+
+    ``analysis`` is a :class:`~repro.analysis.kernel_info.KernelAnalysis`;
+    ``la`` one of its :class:`LoopAnalysis` entries.  Reasons are listed in
+    check order (1, 2, 3, 4).
+    """
+    reasons = _barrier_reasons(la.record)
+    reasons += _convergence_reasons(analysis, la)
+    reasons += _private_memory_reasons(analysis, la)
     return SafetyVerdict(not reasons, tuple(reasons))
 
 

@@ -48,6 +48,12 @@ SPEC_NAMES: dict[str, GPUSpec] = {
 }
 
 
+class SpecError(ValueError):
+    """A spec name outside :data:`SPEC_NAMES`, or a custom
+    :class:`~repro.sim.arch.GPUSpec` where the experiment harness needs a
+    named one (its result cache and figures key cells on the name)."""
+
+
 class Session:
     """A configured pipeline: spec + options + device + observability."""
 
@@ -57,7 +63,7 @@ class Session:
             try:
                 self.spec_name, self.spec = spec, SPEC_NAMES[spec]
             except KeyError:
-                raise ValueError(
+                raise SpecError(
                     f"unknown spec {spec!r}; options: {sorted(SPEC_NAMES)}"
                 ) from None
         else:
@@ -170,9 +176,16 @@ class Session:
 
     def run_app(self, app: str, scheme: str, scale: str = "bench",
                 verify: bool = False, on_error: str = "degrade"):
-        """One (app, scheme) simulation cell via the experiment harness."""
+        """One (app, scheme) simulation cell via the experiment harness.
+
+        Cells are simulated on a named spec only: a session built on a
+        custom :class:`GPUSpec` raises :class:`SpecError`."""
         from .experiments.common import run_app
 
+        if self.spec_name not in SPEC_NAMES:
+            raise SpecError(
+                f"run_app simulates the named specs {sorted(SPEC_NAMES)} "
+                f"only; this session's spec is a custom GPUSpec")
         with self._scope():
             return run_app(app, scheme, self.spec_name, scale,
                            cache=self._cache(), verify=verify,

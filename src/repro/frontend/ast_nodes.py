@@ -238,11 +238,31 @@ class Block(Stmt):
 
 
 @dataclass(frozen=True)
+class WarpGroupTag:
+    """Marks the guard of warp group ``group`` of a Fig. 4 split into ``n``
+    groups of a ``warps_per_tb``-warp TB.  ``proved`` says whether
+    :func:`~repro.analysis.dataflow.safety.warp_split_union_safe` held for
+    the launch ``(block, grid)`` it covered; the tape engine runs a proved
+    split's loop once for all groups (:mod:`repro.sim.tape`)."""
+
+    group: int
+    n: int
+    warps_per_tb: int
+    block: tuple[int, int, int]
+    grid: tuple[int, int, int] | None
+    proved: bool
+
+
+@dataclass(frozen=True)
 class IfStmt(Stmt):
     cond: Expr
     then: Stmt
     otherwise: Stmt | None = None
     loc: SourceLocation | None = None
+    # Set only on the guards split_loop_for_warp_groups creates; not part of
+    # the statement's value (equality, hash and emitted source ignore it).
+    split: WarpGroupTag | None = field(default=None, compare=False,
+                                       repr=False)
 
 
 @dataclass(frozen=True)

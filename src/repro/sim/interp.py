@@ -598,6 +598,8 @@ class WarpInterpreter:
                 alive = alive & cond
                 if not alive.any():
                     break
+                # A lane whose test failed has left the loop for good.
+                mask = alive
             inner.continued[:] = False
             yield from self._exec_stmt(stmt.body, alive, inner)
             if do_first:

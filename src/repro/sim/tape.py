@@ -46,6 +46,7 @@ engine's speedup on large grids.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -80,6 +81,7 @@ from ..frontend.ast_nodes import (
     Ternary,
     TranslationUnit,
     UnaryOp,
+    WarpGroupTag,
     WhileStmt,
     statements_in,
 )
@@ -148,7 +150,9 @@ _LONG = CType("long")
     OP_SC,       # (op, dst, left, r_lo, r_hi, r_reg, is_and, end)
     OP_DEVCALL,  # (op, dst, b_lo, b_hi, params, arg_regs, is_void,
                  #  ret_ctype, ret_dtype, end)
-) = range(31)
+    OP_GIF,      # (op, cond, t_lo, t_hi, -1, -1, end, site, group)
+                 #  guard of one group of a tagged Fig. 4 warp split
+) = range(32)
 
 _BUILTIN_KEYS = frozenset(
     (base, member)
@@ -177,10 +181,10 @@ class TapeProgram:
     """A kernel lowered to a flat uop tape (lane-count independent)."""
 
     __slots__ = ("kernel", "uops", "n_regs", "n_vars", "consts", "sregs",
-                 "var_slots")
+                 "var_slots", "splits")
 
     def __init__(self, kernel: FunctionDef, uops, n_regs: int, n_vars: int,
-                 consts, sregs, var_slots):
+                 consts, sregs, var_slots, splits=()):
         self.kernel = kernel
         self.uops = uops            # tuple of uop tuples
         self.n_regs = n_regs
@@ -188,6 +192,22 @@ class TapeProgram:
         self.consts = consts        # ((reg, value, ctype), ...) prefilled
         self.sregs = sregs          # ((reg, (base, member)), ...) prefilled
         self.var_slots = var_slots  # name -> slot (top-level scope)
+        # The group-0 WarpGroupTag of each tagged warp split; OP_GIF's
+        # ``site`` indexes it.
+        self.splits = splits
+
+    def union_sites(self, block, grid, warps_per_tb: int,
+                    sanitize: bool) -> frozenset:
+        """The split sites a launch runs once under the union of their group
+        masks: proved and tagged for exactly this launch.  A sanitized
+        launch runs every split group by group, so the per-slot barrier
+        epochs the shadow memory records stay exact."""
+        if sanitize:
+            return frozenset()
+        return frozenset(
+            i for i, tag in enumerate(self.splits)
+            if tag.proved and tag.block == block
+            and tag.grid == grid and tag.warps_per_tb == warps_per_tb)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +268,7 @@ class _Lowerer:
         self._lit_memo: dict = {}
         self._sreg_memo: dict = {}
         self._device_stack: list[str] = []
+        self.splits: list[WarpGroupTag] = []
 
     # -- infrastructure -------------------------------------------------
     def lower(self, kernel: FunctionDef) -> TapeProgram:
@@ -257,7 +278,8 @@ class _Lowerer:
         self._flush_tallies()
         return TapeProgram(kernel, tuple(tuple(u) for u in self.uops),
                            self.n_regs, self.n_vars, tuple(self.consts),
-                           tuple(self.sregs), dict(self.scope))
+                           tuple(self.sregs), dict(self.scope),
+                           tuple(self.splits))
 
     def _reg(self) -> int:
         r = self.n_regs
@@ -323,19 +345,58 @@ class _Lowerer:
         else:
             raise SimulationError(f"cannot execute {type(s).__name__}")
 
-    def _block(self, b: Block) -> None:
+    def _block(self, b: Block, entry_chk: bool = True) -> None:
         # One CHK at entry; re-CHK after each disruptive statement, the
         # only kind that can change the active mask interp.py re-derives
         # before every statement of a block.
-        chks = [self._emit([OP_CHK, 0])]
+        chks = [self._emit([OP_CHK, 0])] if entry_chk else []
         stmts = b.statements
+        guards: dict[int, tuple[int, int]] = {}  # index -> (site, group)
         for i, s in enumerate(stmts):
-            self.stmt(s)
+            if i not in guards:
+                for g in range(self._split_groups(stmts, i)):
+                    guards[i + 2 * g] = (len(self.splits) - 1, g)
+            if i in guards:
+                self._if_stmt(s, *guards[i])
+            else:
+                self.stmt(s)
             if i + 1 < len(stmts) and _disrupts(s):
                 chks.append(self._emit([OP_CHK, 0]))
         end = len(self.uops)
         for p in chks:
             self.uops[p][1] = end
+
+    def _loop_body(self, body: Stmt) -> None:
+        # No entry CHK: every loop form enters its body under a mask that
+        # already excludes returned and broken lanes, with ``continued``
+        # cleared, and only when that mask has a lane — the check would
+        # never change it.
+        if isinstance(body, Block):
+            self._block(body, entry_chk=False)
+        else:
+            self.stmt(body)
+
+    def _split_groups(self, stmts, i: int) -> int:
+        """N when ``stmts[i:i + 2N]`` is a whole tagged Fig. 4 split (the
+        ``if (group guard) { loop } __syncthreads();`` pairs for groups
+        0..N-1, as the warp-split transform emits them), registering the
+        split as a new site; else 0.  Its guards then lower to OP_GIF.
+        Only that transform creates tags, so a tag's group index names the
+        warps its guard admits."""
+        s = stmts[i]
+        tag = s.split if isinstance(s, IfStmt) else None
+        if tag is None or tag.group != 0 or tag.n <= 1 \
+                or tag.warps_per_tb % tag.n or i + 2 * tag.n > len(stmts):
+            return 0
+        for g in range(tag.n):
+            guard, sync = stmts[i + 2 * g], stmts[i + 2 * g + 1]
+            if not (isinstance(guard, IfStmt) and isinstance(
+                    sync, SyncthreadsStmt) and guard.otherwise is None
+                    and guard.split == dataclasses.replace(tag, group=g)
+                    and guard.then == s.then):
+                return 0
+        self.splits.append(tag)
+        return tag.n
 
     def _declarator(self, s: DeclStmt, d) -> None:
         dtype = np_dtype_for(s.type)
@@ -357,10 +418,13 @@ class _Lowerer:
         self._emit([OP_DECLI, slot, v, ctype, dtype, space, ctype.is_pointer])
         self.pending_tally += 1
 
-    def _if_stmt(self, s: IfStmt) -> None:
+    def _if_stmt(self, s: IfStmt, site: int = -1, group: int = 0) -> None:
         c = self.expr(s.cond)
         self._end_stmt()  # interp flushes after evaluating the condition
-        pos = self._emit([OP_IF, c, 0, 0, -1, -1, 0])
+        if site < 0:
+            pos = self._emit([OP_IF, c, 0, 0, -1, -1, 0])
+        else:
+            pos = self._emit([OP_GIF, c, 0, 0, -1, -1, 0, site, group])
         t_lo = len(self.uops)
         self.stmt(s.then)
         t_hi = len(self.uops)
@@ -392,7 +456,7 @@ class _Lowerer:
         if s.cond is not None:
             c_lo, c_hi, c_reg = self._cond_range(s.cond)
         b_lo = len(self.uops)
-        self.stmt(s.body)
+        self._loop_body(s.body)
         b_hi = len(self.uops)
         s_lo = s_hi = -1
         if s.step is not None:
@@ -408,7 +472,7 @@ class _Lowerer:
         pos = self._emit([OP_WHILE, 0, 0, 0, 0, 0, do_first, 0])
         c_lo, c_hi, c_reg = self._cond_range(s.cond)
         b_lo = len(self.uops)
-        self.stmt(s.body)
+        self._loop_body(s.body)
         b_hi = len(self.uops)
         u = self.uops[pos]
         u[1:] = [c_lo, c_hi, c_reg, b_lo, b_hi, do_first, len(self.uops)]
@@ -798,6 +862,7 @@ class TapeExecutor:
         warps_per_tb: int,
         timed_slots: np.ndarray,  # sorted chunk-local slot ids to record
         shadows: list[ShadowState] | None = None,
+        union_sites: frozenset = frozenset(),
     ):
         ntbs = block_idxs.shape[0]
         nslots = ntbs * warps_per_tb
@@ -839,6 +904,13 @@ class TapeExecutor:
             (tp, int(s) * WARP_SIZE, int(s) * WARP_SIZE + WARP_SIZE)
             for tp, s in enumerate(timed_slots.tolist())
         ]
+
+        # Warp splits run once under the union of their group masks
+        # (``_gif``): site -> per-group [(timed_pos, events)] of the
+        # current run, held until each group's guard is reached.
+        self.union_sites = union_sites
+        self._split_tails: dict[int, list | None] = {}
+        self._timed_groups: dict[int, list[list[int]]] = {}
 
         # Sanitizer: one ShadowState per chunk TB, per-slot barrier epochs.
         self.shadows = shadows
@@ -1290,6 +1362,10 @@ class TapeExecutor:
                 self._devcall(u, cur)
                 pc = u[9]
                 continue
+            elif op == OP_GIF:
+                self._gif(u, pc, cur, frame)
+                pc = u[6]
+                continue
             else:
                 raise SimulationError(f"bad uop {op}")
             pc += 1
@@ -1443,6 +1519,54 @@ class TapeExecutor:
                 self._run(u[4], u[5], em, frame)
         self._if_masks[pc] = (tm, em)
 
+    def _gif(self, u, pc, cur, frame) -> None:
+        """One group's guard of a tagged warp split.
+
+        For a union site, group 0's guard runs the loop once under ``cur``:
+        each lane of ``cur`` is in exactly one group, and the union proof
+        says no group reads or writes what another group's loop writes, so
+        every memory effect and every slot's events equal those of its own
+        group's pass.  Each slot's events are then moved to its
+        own group's guard, the position its group's pass gives them;
+        guard tallies and barriers still run per group, in order."""
+        site, group = u[7], u[8]
+        if group:
+            tails = self._split_tails.get(site)
+            if tails is None:
+                self._if(u, pc, cur, frame)
+                return
+            tstreams = self.tstreams
+            for tp, events in tails[group]:
+                tstreams[tp].extend(events)
+            return
+        if site not in self.union_sites or self.discard_masks:
+            self._split_tails[site] = None
+            self._if(u, pc, cur, frame)
+            return
+        tstreams = self.tstreams
+        starts = [len(st) for st in tstreams]
+        self._run(u[2], u[3], cur, frame)
+        if self._tmask is not None or self.pending:
+            self._do_flush()
+        groups = self._timed_groups.get(site)
+        if groups is None:
+            n = self.program.splits[site].n
+            size = self.warps_per_tb // n
+            of = (self.timed_ids % self.warps_per_tb) // size
+            groups = [np.flatnonzero(of == g).tolist() for g in range(n)]
+            self._timed_groups[site] = groups
+        tails: list = [None]
+        for members in groups[1:]:
+            moved = []
+            for tp in members:
+                st = tstreams[tp]
+                s0 = starts[tp]
+                if len(st) > s0:
+                    moved.append((tp, st[s0:]))
+                    del st[s0:]
+            tails.append(moved)
+        self._split_tails[site] = tails
+
     # Loops keep last iteration's mask objects when the recomputed masks
     # equal them, so their derived data is computed once per loop region.
     def _for(self, u, cur) -> None:
@@ -1511,7 +1635,9 @@ class TapeExecutor:
                 passed = _keep(alive & cv, alive, passed)
                 if not self._any(passed):
                     break
-                m = self._drop_finished(m, passed, alive)
+                # A lane whose test failed has left the loop for good: only
+                # the lanes that passed test the condition again.
+                m = passed
                 body = passed
             inner.continued[:] = False
             self._run(b_lo, b_hi, body, inner)
@@ -1639,8 +1765,13 @@ def record_tape_streams(
     ]
     shadows_out: list[ShadowState] = []
     tbs_per_chunk = max(max_slots // warps_per_tb, 1)
+    union = program.union_sites(block, grid, warps_per_tb, sanitize)
     reg = _registry()
     if reg.enabled:
+        if program.splits:
+            reg.counter("sim.tape.splits.union").inc(len(union))
+            reg.counter("sim.tape.splits.npass").inc(
+                len(program.splits) - len(union))
         reg.counter("sim.tape.wide_passes").inc(
             -(-total_tbs // tbs_per_chunk))
         reg.counter("sim.tape.lanes").inc(
@@ -1669,7 +1800,7 @@ def record_tape_streams(
             shared = WideShared(ntbs, shared_capacity)
             ex = TapeExecutor(program, memory, shared, shared_layout, args,
                               chunk, block, grid, warps_per_tb, timed_local,
-                              shadows)
+                              shadows, union)
             ex.run()
         for tp, slot in enumerate(timed_local.tolist()):
             tb = chunk_start + slot // warps_per_tb

@@ -32,12 +32,14 @@ docs/ROBUSTNESS.md for the full degradation-mode catalogue.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..analysis.kernel_info import (
     KernelAnalysis,
     LoopAnalysis,
     TBThrottlePlan,
+    _as_dim3,
     analyze_kernel,
     tb_throttle_plan,
 )
@@ -302,6 +304,7 @@ def _catt_compile(
                     record.tiles.append((la.loop_id, tile))
 
         # -- stage: transform (Fig. 4 warp splits, per loop) -------------
+        grid3 = _as_dim3(grid) if grid is not None else None
         for la in (() if record.race_blocked else _select_loops(analysis)):
             with _span("transform.warp_split", kernel=name,
                        loop=la.record.loop_id, n=la.decision.n) as wsp:
@@ -314,6 +317,11 @@ def _catt_compile(
                         analysis.occupancy.warps_per_tb,
                         analysis.block_dim,
                         spec.warp_size,
+                        grid=grid3,
+                        # A tiled kernel's loops no longer match the analysis
+                        # the proof reads, so its splits stay untagged.
+                        proved=None if record.tiles
+                        else _split_union_safe(analysis, la),
                     )
                 except WarpSplitError as exc:
                     # Expected degradation: the loop object was restructured
@@ -415,6 +423,41 @@ def _catt_compile(
                            diagnostics=log)
 
 
+def _split_union_safe(analysis: KernelAnalysis, la: LoopAnalysis) -> bool:
+    """Whether a split of ``la`` provably lets a lockstep pass run every warp
+    group's loop copy at once (recorded in the guards' tags)."""
+    from ..analysis.dataflow.safety import warp_split_union_safe
+
+    try:
+        return warp_split_union_safe(analysis, la).safe
+    except Exception:
+        return False
+
+
+# force_throttle's union verdicts per kernel and launch config: a BFTT/SWL
+# search throttles the same kernel once per (N, M) candidate, and the
+# verdict does not depend on the candidate.  Over the registry's BFTT
+# candidates at test scale this cuts the transform time by about a quarter.
+_PROOF_MEMO: "OrderedDict[tuple, dict[int, bool]]" = OrderedDict()
+_PROOF_MEMO_LIMIT = 64
+
+
+def _memo_split_proofs(analysis: KernelAnalysis, kernel: FunctionDef,
+                       grid3, spec: GPUSpec) -> dict[int, bool]:
+    """loop_id -> union verdict for every top-level loop."""
+    key = (kernel, analysis.block_dim, grid3, spec)
+    proofs = _PROOF_MEMO.get(key)
+    if proofs is None:
+        proofs = {la.record.loop_id: _split_union_safe(analysis, la)
+                  for la in analysis.loops if la.record.depth == 0}
+        _PROOF_MEMO[key] = proofs
+        while len(_PROOF_MEMO) > _PROOF_MEMO_LIMIT:
+            _PROOF_MEMO.popitem(last=False)
+    else:
+        _PROOF_MEMO.move_to_end(key)
+    return proofs
+
+
 def force_throttle(
     unit: TranslationUnit,
     kernel_name: str,
@@ -444,6 +487,7 @@ def force_throttle(
     log = diagnostics if diagnostics is not None else DiagnosticLog()
     analysis = analyze_kernel(unit, kernel_name, block, spec, grid=grid)
     warps = analysis.occupancy.warps_per_tb
+    grid3 = _as_dim3(grid) if grid is not None else None
     if n not in candidate_ns(warps):
         if on_error == "raise":
             raise ThrottleSearchError(
@@ -455,13 +499,15 @@ def force_throttle(
         n = 1
     kernel = unit.kernel(kernel_name)
     if n > 1:
+        proofs = _memo_split_proofs(analysis, kernel, grid3, spec)
         for la in analysis.loops:
             if la.record.depth != 0:
                 continue
             try:
                 kernel = split_loop_for_warp_groups(
                     kernel, la.record.stmt, n, warps, analysis.block_dim,
-                    spec.warp_size,
+                    spec.warp_size, grid=grid3,
+                    proved=proofs[la.record.loop_id],
                 )
             except WarpSplitError as exc:
                 if on_error == "raise":

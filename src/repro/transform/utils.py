@@ -58,11 +58,13 @@ def _replace(node: Stmt, target: Stmt, replacement: list[Stmt]) -> tuple[bool, S
     if isinstance(node, IfStmt):
         found, then = _replace(node.then, target, replacement)
         if found:
-            return True, IfStmt(node.cond, then, node.otherwise, node.loc)
+            return True, IfStmt(node.cond, then, node.otherwise, node.loc,
+                                node.split)
         if node.otherwise is not None:
             found, other = _replace(node.otherwise, target, replacement)
             if found:
-                return True, IfStmt(node.cond, node.then, other, node.loc)
+                return True, IfStmt(node.cond, node.then, other, node.loc,
+                                    node.split)
         return False, node
     if isinstance(node, ForStmt):
         found, body = _replace(node.body, target, replacement)

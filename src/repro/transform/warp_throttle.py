@@ -10,6 +10,11 @@ barriers serializing the groups::
 
 The guard operates at warp granularity (``wid = linear_tid / 32``), so the
 transformation adds no intra-warp control divergence (§4.3).
+
+When the caller passes the outcome of the split's union proof, each
+guard carries a :class:`~repro.frontend.ast_nodes.WarpGroupTag`.  The tag
+changes neither the emitted source nor statement equality; it lets the tape
+engine run a proved split's loop once for all groups.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from ..frontend.ast_nodes import (
     IntLit,
     Stmt,
     SyncthreadsStmt,
+    WarpGroupTag,
 )
 from .utils import linear_warp_id_expr, replace_stmt, with_body
 
@@ -34,12 +40,19 @@ def split_loop_for_warp_groups(
     warps_per_tb: int,
     block_dim: tuple[int, int, int],
     warp_size: int = 32,
+    grid: tuple[int, int, int] | None = None,
+    proved: bool | None = None,
 ) -> FunctionDef:
     """Return ``kernel`` with ``loop_stmt`` split into ``n`` warp groups.
 
     ``loop_stmt`` must be a statement object from ``kernel``'s body (identity
     matching).  ``n`` must divide ``warps_per_tb``; violations raise
     :class:`repro.errors.WarpSplitError` (a ``ValueError`` subclass).
+
+    ``proved`` is whether the union proof
+    (:func:`repro.analysis.dataflow.safety.warp_split_union_safe`) holds for
+    the launch ``(block_dim, grid)``; the guards are tagged with it.  None
+    (the default) leaves them untagged.
     """
     if n <= 1:
         return kernel
@@ -55,7 +68,11 @@ def split_loop_for_warp_groups(
             BinOp(">=", wid, IntLit(lo)),
             BinOp("<", wid, IntLit(hi)),
         )
-        pieces.append(IfStmt(cond, _as_block(loop_stmt)))
+        tag = None
+        if proved is not None:
+            tag = WarpGroupTag(g, n, warps_per_tb, tuple(block_dim), grid,
+                               proved)
+        pieces.append(IfStmt(cond, _as_block(loop_stmt), split=tag))
         pieces.append(SyncthreadsStmt())
     try:
         new_body = replace_stmt(kernel.body, loop_stmt, pieces)

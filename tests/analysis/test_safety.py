@@ -10,6 +10,9 @@ from repro.analysis.dataflow.safety import (
     form_range,
     split_shape_matches,
     verify_warp_split,
+    warp_split_convergent,
+    warp_split_independent,
+    warp_split_union_safe,
 )
 from repro.frontend import parse, parse_kernel
 from repro.sim.arch import TITAN_V_SIM
@@ -140,6 +143,85 @@ __global__ void k(float *a, int n) {
     verdict = verify_warp_split(analysis, analysis.loops[0])
     assert not verdict.safe
     assert any("guard" in r for r in verdict.reasons)
+
+
+def test_thread_guard_fails_convergence_only():
+    """An unprovable thread guard is a convergence failure: the groups are
+    still independent, so a lockstep pass may run them at once."""
+    analysis = analysis_of("""
+__global__ void k(float *a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        for (int j = 0; j < 64; j++) { a[i * 64 + j] = 0.0f; }
+    }
+}
+""")
+    la = analysis.loops[0]
+    assert warp_split_independent(analysis, la).safe
+    conv = warp_split_convergent(analysis, la)
+    assert not conv.safe
+    assert conv.reasons == verify_warp_split(analysis, la).reasons
+
+
+def test_halves_compose_to_the_full_verdict_on_the_registry():
+    """verify_warp_split is exactly the two halves, reasons in check order;
+    the four kernels that fail only the barrier-legality check are
+    independent."""
+    from repro.workloads import WORKLOADS, get_workload
+
+    only_convergence = set()
+    for app in sorted(WORKLOADS):
+        wl = get_workload(app, scale="test")
+        unit = wl.unit()
+        for name, (grid, block) in wl.launch_configs().items():
+            analysis = analyze_kernel(unit, name, block, TITAN_V_SIM,
+                                      grid=grid)
+            for la in analysis.loops:
+                full = verify_warp_split(analysis, la)
+                ind = warp_split_independent(analysis, la)
+                conv = warp_split_convergent(analysis, la)
+                assert full.safe == (ind.safe and conv.safe)
+                assert sorted(full.reasons) == sorted(ind.reasons
+                                                      + conv.reasons)
+                if la.record.depth == 0 and ind.safe and not conv.safe:
+                    only_convergence.add(name)
+    assert {"atax_kernel2", "bicg_kernel1", "mvt_kernel2",
+            "gram_rdot"} <= only_convergence
+
+
+def test_union_rejects_what_independence_cannot_see():
+    """Stores the access collector does not record (``a[i]++``, ``*p``, a
+    pointer alias), shared-memory stores and atomics pass the independence
+    half but not the union proof; a plain subscripted loop passes both."""
+    loops = {
+        "increment": "out[threadIdx.x & 31]++;",
+        "deref": "*(out + (threadIdx.x & 31)) += x[j];",
+        "alias": "q[j] = x[j];",
+        "shared": "s[threadIdx.x] = x[j];",
+        "atomic": "atomicAdd(&out[j], 1.0f);",
+    }
+    for name, body in loops.items():
+        analysis = analysis_of(f"""
+__global__ void k(float *x, float *out) {{
+    __shared__ float s[256];
+    float *q = out + threadIdx.x * 64;
+    for (int j = 0; j < 64; j++) {{ {body} }}
+    out[threadIdx.x] = s[threadIdx.x];
+}}
+""")
+        la = analysis.loops[0]
+        assert warp_split_independent(analysis, la).safe, name
+        verdict = warp_split_union_safe(analysis, la)
+        assert not verdict.safe and verdict.reasons, name
+    analysis = analysis_of("""
+__global__ void k(float *x, float *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    for (int j = 0; j < 64; j++) { out[i * 64 + j] = sqrtf(x[j]); }
+}
+""")
+    la = analysis.loops[0]
+    assert warp_split_independent(analysis, la).safe
+    assert warp_split_union_safe(analysis, la).safe
 
 
 def test_non_exclusive_write_fails():

@@ -157,6 +157,25 @@ __global__ void k(int *x, int *out) {
     np.testing.assert_array_equal(_run(src, x, "tape")[0], trips * 100 + trips)
 
 
+def test_while_exited_lanes_do_not_retest():
+    """A plain ``while`` tests its condition only for lanes still in the
+    loop: with a side-effecting test, ``n`` stops at 2 on even lanes and 3
+    on odd ones, on both engines."""
+    x = np.zeros(N, dtype=np.int32)
+    src = """
+__global__ void k(int *x, int *out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int n = 0;
+    while (++n < 2 + (threadIdx.x & 1)) {}
+    out[i] = n + x[i];
+}
+"""
+    _assert_tape_matches_interp(src, x)
+    expected = 2 + (np.arange(N) & 1)
+    for engine in ("interp", "tape"):
+        np.testing.assert_array_equal(_run(src, x, engine)[0], expected)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     cut=st.integers(-30, 30),

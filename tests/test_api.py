@@ -74,6 +74,20 @@ def test_session_rejects_unknown_spec():
         Session("16k")
 
 
+def test_run_app_on_custom_spec_raises_typed_error():
+    """The harness names its cells by spec: a custom GPUSpec gets a
+    SpecError naming the supported specs, not a bare KeyError."""
+    from repro import TITAN_V
+    from repro.api import SPEC_NAMES, SpecError
+
+    sess = Session(TITAN_V, SimOptions(cache_dir=""))
+    assert sess.spec_name == "custom"
+    with pytest.raises(SpecError) as info:
+        sess.run_app("ATAX", "baseline", scale="test")
+    for name in SPEC_NAMES:
+        assert repr(name) in str(info.value)
+
+
 def test_session_end_to_end_launch():
     sess = Session("max", SimOptions())
     unit = sess.compile(SRC)
